@@ -4,6 +4,7 @@ from .core import (
     BinomialTable,
     CumulativeCountGrid,
     GroupedSample,
+    PerMStatistics,
     RankedSample,
     ScoreKind,
     binomial_table,
@@ -13,7 +14,6 @@ from .core import (
     rank_with_random_ties,
 )
 from .independence import (
-    IndependenceStatistics,
     adp_max_2x2,
     adp_sum_all_m,
     ddp_max,
@@ -22,7 +22,6 @@ from .independence import (
     penalized_adp_sum,
 )
 from .ksample import (
-    KSampleStatistics,
     PriorSpec,
     ksample_max_all_m,
     ksample_sum_all_m,

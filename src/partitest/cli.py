@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from .core import GroupedSample, rank_with_random_ties
+from .core import GroupedSample, default_m_max, rank_with_random_ties
 from .ksample import PriorSpec
 from .mi import mi_adp, mi_ddp, mi_histogram
 from .nulltable import (
@@ -142,7 +141,7 @@ def cmd_nulltable(args) -> int:
     family = _FAMILIES.get(args.family)
     if family is None:
         raise CliError(f"unknown family {args.family!r}")
-    m_max = args.m_max if args.m_max else (max(2, n // 2) if groups else max(2, math.isqrt(n)))
+    m_max = args.m_max if args.m_max else default_m_max(args.problem, n)
     try:
         meta = NullTableMeta(
             problem=args.problem,

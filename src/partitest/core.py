@@ -12,6 +12,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -22,6 +23,7 @@ __all__ = [
     "ScoreKind",
     "RankedSample",
     "GroupedSample",
+    "PerMStatistics",
     "BinomialTable",
     "CumulativeCountGrid",
     "rank_with_random_ties",
@@ -170,6 +172,49 @@ class GroupedSample:
         return self._labels_by_rank
 
 
+def default_m_max(problem: str, n: int) -> int:
+    """Largest partition size computed when none is given (at least 2).
+
+    N // 2 for the K-sample problem, floor(sqrt(N)) for independence.
+    """
+    return max(2, n // 2 if problem == "ksample" else math.isqrt(n))
+
+
+def _check_m_max(m_max, problem: str, n: int) -> int:
+    m_max = default_m_max(problem, n) if m_max is None else int(m_max)
+    if not 2 <= m_max <= n:
+        raise ValueError(f"m_max must lie in 2..N, got {m_max} for N={n}")
+    return m_max
+
+
+@dataclass(frozen=True)
+class PerMStatistics:
+    """Per-m statistic values for one sample (index i -> m = i + 2).
+
+    ``family`` is ``sum`` or ``max`` for the K-sample problem and ``adp_sum``
+    or ``ddp_sum`` for independence, where ``group_sizes`` is None.
+    """
+
+    family: str
+    score: ScoreKind
+    values: np.ndarray
+    n: int
+    group_sizes: tuple[int, ...] | None = None
+
+    @property
+    def m_max(self) -> int:
+        return self.values.size + 1
+
+    @property
+    def ms(self) -> np.ndarray:
+        return np.arange(2, self.m_max + 1)
+
+    def value(self, m: int) -> float:
+        if not 2 <= m <= self.m_max:
+            raise ValueError(f"m={m} outside 2..{self.m_max}")
+        return float(self.values[m - 2])
+
+
 def cell_score(observed: float, expected: float, kind) -> float:
     """Score one cell: Pearson (o-e)^2/e or likelihood ratio o*log(o/e).
 
@@ -240,6 +285,23 @@ def binomial_table(n: int) -> BinomialTable:
     if n < 0:
         raise ValueError("table size must be non-negative")
     return _cached_binomial(int(n))
+
+
+def partition_count(family: str, n: int, ms):
+    """Number of partitions of size m a family aggregates over (scalar or array m).
+
+    C(N-1, m-1) interval partitions for the K-sample ``sum``/``max``,
+    C(N-1, m-1)^2 grid partitions for ``adp_sum``, C(N, m-1) point-anchored
+    partitions for ``ddp_sum``.
+    """
+    binom = binomial_table(n)
+    if family in ("sum", "max"):
+        return binom.choose(n - 1, ms - 1)
+    if family == "adp_sum":
+        return binom.choose(n - 1, ms - 1) ** 2
+    if family == "ddp_sum":
+        return binom.choose(n, ms - 1)
+    raise ValueError(f"unknown family: {family!r}")
 
 
 @dataclass(frozen=True)
@@ -313,8 +375,46 @@ def _cell_index_cache(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(lo0 + 1), _freeze(hi0 + 1)
 
 
+@lru_cache(maxsize=64)
+def _span_weight_rows(n: int, m_max: int) -> np.ndarray:
+    """Partition-count weights per m, concatenated (internal widths, edge widths).
+
+    Row m - 2 holds, for each width w, the number of size-m interval
+    partitions of 1..N containing a given span of width w: C(N-2-w, m-3) for
+    an internal span, C(N-1-w, m-2) for one touching an end.  choose() returns
+    zero whenever an argument goes negative, which kills internal spans at
+    m = 2 and the full-width span everywhere.
+    """
+    binom = binomial_table(n)
+    ws = np.arange(n + 1)
+    rows = np.empty((m_max - 1, 2 * (n + 1)))
+    for m in range(2, m_max + 1):
+        rows[m - 2, : n + 1] = binom.choose(n - 2 - ws, m - 3)
+        rows[m - 2, n + 1 :] = binom.choose(n - 1 - ws, m - 2)
+    return _freeze(rows)
+
+
 @lru_cache(maxsize=1024)
 def _pair_index_cache(npos: int) -> tuple[np.ndarray, np.ndarray]:
     """Strictly increasing index pairs (i < j) over npos positions."""
     ii, jj = np.triu_indices(npos, k=1)
     return _freeze(ii), _freeze(jj)
+
+
+def chunk_map(fn, args: tuple, count: int, threads: int) -> list:
+    """``fn(*args, start, stop)`` over ordered chunks of range(count).
+
+    Results come back in chunk order, so a caller that concatenates or sums
+    them gets the same answer for any thread count.  Workers are clamped to
+    the core count; with one worker, or fewer than two items per worker, the
+    whole range runs in-process as a single chunk.
+    """
+    workers = min(int(threads), os.cpu_count() or 1)
+    if workers <= 1 or count < 2 * workers:
+        return [fn(*args, 0, count)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.linspace(0, count, 4 * workers + 1, dtype=int)
+    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *([arg] * len(chunks) for arg in args), *zip(*chunks)))

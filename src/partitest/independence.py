@@ -18,7 +18,6 @@ The pairwise-classification statistic (every ordered pair of points induces a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
@@ -26,18 +25,20 @@ import numpy as np
 from .core import (
     BinomialTable,
     CumulativeCountGrid,
+    PerMStatistics,
     RankedSample,
     ScoreKind,
+    _check_m_max,
     _log_table,
     _pair_index_cache,
+    _span_weight_rows,
     _xlogx_table,
     binomial_table,
     cumulative_count_grid,
 )
-from .ksample import PriorSpec
+from .ksample import PriorSpec, penalize
 
 __all__ = [
-    "IndependenceStatistics",
     "adp_sum_all_m",
     "ddp_sum_all_m",
     "ddp_max",
@@ -50,48 +51,12 @@ ADP_SUM = "adp_sum"
 DDP_SUM = "ddp_sum"
 
 
-@dataclass(frozen=True)
-class IndependenceStatistics:
-    """Per-m statistic values for one paired sample (index i -> m = i + 2)."""
-
-    family: str
-    score: ScoreKind
-    values: np.ndarray
-    n: int
-
-    @property
-    def m_max(self) -> int:
-        return self.values.size + 1
-
-    @property
-    def ms(self) -> np.ndarray:
-        return np.arange(2, self.m_max + 1)
-
-    def value(self, m: int) -> float:
-        if not 2 <= m <= self.m_max:
-            raise ValueError(f"m={m} outside 2..{self.m_max}")
-        return float(self.values[m - 2])
-
-
 def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
     xr = x.ranks if isinstance(x, RankedSample) else np.ascontiguousarray(x, dtype=np.int64)
     yr = y.ranks if isinstance(y, RankedSample) else np.ascontiguousarray(y, dtype=np.int64)
     if xr.size != yr.size:
         raise ValueError("x and y must have equal length")
     return xr, yr, xr.size
-
-
-def _default_m_max(n: int) -> int:
-    return max(2, math.isqrt(n))
-
-
-def _check_m_max(m_max, n: int) -> int:
-    if m_max is None:
-        m_max = _default_m_max(n)
-    m_max = int(m_max)
-    if not 2 <= m_max <= n:
-        raise ValueError(f"m_max must lie in 2..N, got {m_max} for N={n}")
-    return m_max
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +137,11 @@ def _grid_totals_per_size(p, q, n: int, score: ScoreKind):
     return out
 
 
-def _grid_weight_vectors(n: int, m: int, binom: BinomialTable) -> tuple[np.ndarray, np.ndarray]:
-    ws = np.arange(n + 1)
-    internal = binom.choose(n - 2 - ws, m - 3)
-    edge = binom.choose(n - 1 - ws, m - 2)
-    return internal, edge
-
-
-def _grid_contract(tables, n: int, ms, binom: BinomialTable) -> np.ndarray:
+def _grid_contract(tables, n: int, ms) -> np.ndarray:
+    rows = _span_weight_rows(n, max(ms))
     out = np.empty(len(ms))
     for idx, m in enumerate(ms):
-        fi, fe = _grid_weight_vectors(n, m, binom)
-        fx = (fi, fe)
+        fx = (rows[m - 2, : n + 1], rows[m - 2, n + 1 :])
         out[idx] = math.fsum(
             float(fx[xc] @ tables[xc][yc] @ fx[yc]) for xc in (0, 1) for yc in (0, 1)
         )
@@ -194,10 +152,10 @@ def _adp_values_raw(xr, yr, n: int, score: ScoreKind, ms) -> np.ndarray:
     grid = cumulative_count_grid(xr, yr)
     p, q, _ = _grid_cell_tables(grid, score)
     tables = _grid_totals_per_size(p, q, n, score)
-    return _grid_contract(tables, n, list(ms), binomial_table(n))
+    return _grid_contract(tables, n, list(ms))
 
 
-def adp_sum_all_m(x, y, score, m_max: int | None = None) -> IndependenceStatistics:
+def adp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
     """Sum-aggregated grid-partition statistic for every m in 2..m_max.
 
     One O(N^4) sweep accumulates per-size cell totals; every per-m value is
@@ -206,9 +164,9 @@ def adp_sum_all_m(x, y, score, m_max: int | None = None) -> IndependenceStatisti
     """
     score = ScoreKind.parse(score)
     xr, yr, n = _as_pair(x, y)
-    m_max = _check_m_max(m_max, n)
+    m_max = _check_m_max(m_max, "independence", n)
     values = _adp_values_raw(xr, yr, n, score, range(2, m_max + 1))
-    return IndependenceStatistics(family=ADP_SUM, score=score, values=values, n=n)
+    return PerMStatistics(family=ADP_SUM, score=score, values=values, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +295,7 @@ def _ddp_values_raw(xr, yr, n: int, score: ScoreKind, ms) -> np.ndarray:
     return _point_values(tabs, n, score, list(ms), binomial_table(n))
 
 
-def ddp_sum_all_m(x, y, score, m_max: int | None = None) -> IndependenceStatistics:
+def ddp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
     """Sum-aggregated point-anchored statistic for every m in 2..m_max.
 
     Cells are classified once by defining-point count and outer-quadrant
@@ -346,9 +304,9 @@ def ddp_sum_all_m(x, y, score, m_max: int | None = None) -> IndependenceStatisti
     """
     score = ScoreKind.parse(score)
     xr, yr, n = _as_pair(x, y)
-    m_max = _check_m_max(m_max, n)
+    m_max = _check_m_max(m_max, "independence", n)
     values = _ddp_values_raw(xr, yr, n, score, range(2, m_max + 1))
-    return IndependenceStatistics(family=DDP_SUM, score=score, values=values, n=n)
+    return PerMStatistics(family=DDP_SUM, score=score, values=values, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -460,31 +418,11 @@ def adp_max_2x2(x, y, score) -> float:
     return float(_grid_m2_partition_scores(grid, score).max())
 
 
-def penalized_adp_sum(
-    stats: IndependenceStatistics, prior: PriorSpec, binom: BinomialTable | None = None
-) -> float:
+def penalized_adp_sum(stats: PerMStatistics, prior: PriorSpec) -> float:
     """Best penalized per-partition average: S_m / C(N-1, m-1)^2 + log pi(m)."""
     if stats.family != ADP_SUM:
         raise ValueError("penalized_adp_sum expects grid-partition sum statistics")
-    if prior.variant == "ds":
-        raise ValueError("ds prior applies to max aggregation only")
-    if binom is None:
-        binom = binomial_table(stats.n)
-    ms = stats.ms
-    npart = binom.choose(stats.n - 1, ms - 1) ** 2
-    return float(np.max(stats.values / npart + prior.log_prior_m(ms, stats.n)))
-
-
-def normalized_sum_per_m(stats: IndependenceStatistics, binom: BinomialTable | None = None) -> np.ndarray:
-    """S_m divided by its family's partition count, per m (used for penalization)."""
-    if binom is None:
-        binom = binomial_table(stats.n)
-    ms = stats.ms
-    if stats.family == ADP_SUM:
-        return stats.values / binom.choose(stats.n - 1, ms - 1) ** 2
-    if stats.family == DDP_SUM:
-        return stats.values / binom.choose(stats.n, ms - 1)
-    raise ValueError("normalization defined for sum families only")
+    return float(penalize(stats.values, stats.family, stats.n, prior))
 
 
 # ---------------------------------------------------------------------------

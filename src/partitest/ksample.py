@@ -13,56 +13,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    BinomialTable,
     GroupedSample,
+    PerMStatistics,
     ScoreKind,
     _cell_index_cache,
+    _check_m_max,
     _log_table,
+    _span_weight_rows,
     _xlogx_table,
-    binomial_table,
+    partition_count,
 )
 
 __all__ = [
-    "KSampleStatistics",
     "PriorSpec",
     "ksample_sum_all_m",
     "ksample_max_all_m",
     "penalized_max",
     "penalized_sum",
 ]
-
-
-@dataclass(frozen=True)
-class KSampleStatistics:
-    """Per-m statistic values for one grouped sample.
-
-    ``values[i]`` holds the statistic for partition size m = i + 2.
-    """
-
-    kind: str  # "sum" | "max"
-    score: ScoreKind
-    values: np.ndarray
-    n: int
-    group_sizes: tuple[int, ...]
-
-    @property
-    def m_max(self) -> int:
-        return self.values.size + 1
-
-    @property
-    def ms(self) -> np.ndarray:
-        return np.arange(2, self.m_max + 1)
-
-    def value(self, m: int) -> float:
-        if not 2 <= m <= self.m_max:
-            raise ValueError(f"m={m} outside 2..{self.m_max}")
-        return float(self.values[m - 2])
 
 
 @dataclass(frozen=True)
@@ -119,6 +92,28 @@ class PriorSpec:
         raise ValueError("ds prior has no standalone log pi(m); it is an additive penalty")
 
 
+def penalize(values, family: str, n: int, prior: PriorSpec):
+    """Prior-penalized statistic, max over m, per row of per-m values (m = 2, 3, ...).
+
+    The one penalization rule: for max aggregation M_m + log pi(I|m) + log pi(m)
+    with pi(I|m) uniform over the family's partitions of size m, or the ``ds``
+    additive term -lambda0 * log(N) * (m-1) in place of both prior terms; for
+    sum aggregation the per-partition average S_m / #partitions + log pi(m).
+    Observed data and null rows go through this same function.
+    """
+    values = np.asarray(values)
+    ms = np.arange(2, values.shape[-1] + 2)
+    if family == "max":
+        if prior.variant == "ds":
+            add = -prior.lambda0 * math.log(n) * (ms - 1)
+        else:
+            add = -np.log(partition_count(family, n, ms)) + prior.log_prior_m(ms, n)
+        return np.max(values + add, axis=-1)
+    if prior.variant == "ds":
+        raise ValueError("ds prior applies to max aggregation only")
+    return np.max(values / partition_count(family, n, ms) + prior.log_prior_m(ms, n), axis=-1)
+
+
 def _group_cumcounts(labels_by_rank: np.ndarray, k: int) -> np.ndarray:
     n = labels_by_rank.size
     cum = np.zeros((k, n + 1), dtype=np.int64)
@@ -146,24 +141,6 @@ def _cell_scores_flat(cum, group_sizes, score, lo, hi):
     return t
 
 
-@lru_cache(maxsize=64)
-def _sum_weight_rows(n: int, m_max: int) -> np.ndarray:
-    """Partition-count weights per m, concatenated (internal widths, edge widths).
-
-    Internal cells of width w sit in C(N-2-w, m-3) partitions, edge cells in
-    C(N-1-w, m-2); choose() returns zero whenever an argument goes negative,
-    which kills internal cells at m = 2 and the full-width cell everywhere.
-    """
-    binom = binomial_table(n)
-    ws = np.arange(n + 1)
-    rows = np.empty((m_max - 1, 2 * (n + 1)))
-    for m in range(2, m_max + 1):
-        rows[m - 2, : n + 1] = binom.choose(n - 2 - ws, m - 3)
-        rows[m - 2, n + 1 :] = binom.choose(n - 1 - ws, m - 2)
-    rows.flags.writeable = False
-    return rows
-
-
 def _sum_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
     n = labels_by_rank.size
     cum = _group_cumcounts(labels_by_rank, len(group_sizes))
@@ -177,7 +154,7 @@ def _sum_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
             np.bincount(w[edge], weights=t[edge], minlength=n + 1),
         )
     )
-    rows = _sum_weight_rows(n, m_max)
+    rows = _span_weight_rows(n, m_max)
     # weights reach C(N-1, m-1) while cell totals stay moderate; fsum keeps the
     # per-m reductions exactly rounded.
     return np.array([math.fsum((rows[j] * profile).tolist()) for j in range(m_max - 1)])
@@ -204,54 +181,37 @@ def _max_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
     return out
 
 
-def _validated(sample: GroupedSample, score, m_max) -> tuple[ScoreKind, int]:
+def _statistics(family: str, sample: GroupedSample, score, m_max) -> PerMStatistics:
     score = ScoreKind.parse(score)
-    n = sample.n
-    if m_max is None:
-        m_max = max(2, n // 2)
-    m_max = int(m_max)
-    if not 2 <= m_max <= n:
-        raise ValueError(f"m_max must lie in 2..N, got {m_max} for N={n}")
-    return score, m_max
+    m_max = _check_m_max(m_max, "ksample", sample.n)
+    values_fn = _sum_values if family == "sum" else _max_values
+    values = values_fn(sample.labels_by_rank, sample.group_sizes, score, m_max)
+    return PerMStatistics(
+        family=family, score=score, values=values, n=sample.n, group_sizes=sample.group_sizes
+    )
 
 
-def ksample_sum_all_m(sample: GroupedSample, score, m_max: int | None = None) -> KSampleStatistics:
+def ksample_sum_all_m(sample: GroupedSample, score, m_max: int | None = None) -> PerMStatistics:
     """Sum-aggregated statistic for every partition size 2..m_max at once.
 
     Width-bucketed cell totals are computed once in O(N^2); each per-m value
     is then a weighted reduction, so the total cost does not depend on how
     many sizes are requested.  ``m_max`` defaults to N // 2.
     """
-    score, m_max = _validated(sample, score, m_max)
-    values = _sum_values(sample.labels_by_rank, sample.group_sizes, score, m_max)
-    return KSampleStatistics(
-        kind="sum", score=score, values=values, n=sample.n, group_sizes=sample.group_sizes
-    )
+    return _statistics("sum", sample, score, m_max)
 
 
-def ksample_max_all_m(sample: GroupedSample, score, m_max: int | None = None) -> KSampleStatistics:
+def ksample_max_all_m(sample: GroupedSample, score, m_max: int | None = None) -> PerMStatistics:
     """Max-aggregated statistic for every partition size 2..m_max at once.
 
     Dynamic program over prefix lengths: the best score that splits the first
     i ranks into j cells extends by one cell at a time, with expected counts
     always taken from full-sample group proportions.
     """
-    score, m_max = _validated(sample, score, m_max)
-    values = _max_values(sample.labels_by_rank, sample.group_sizes, score, m_max)
-    return KSampleStatistics(
-        kind="max", score=score, values=values, n=sample.n, group_sizes=sample.group_sizes
-    )
+    return _statistics("max", sample, score, m_max)
 
 
-def _require_prior_table(stats: KSampleStatistics, binom: BinomialTable | None) -> BinomialTable:
-    if binom is None:
-        return binomial_table(stats.n)
-    if binom.n < stats.n:
-        raise ValueError("binomial table too small for this sample size")
-    return binom
-
-
-def penalized_max(stats: KSampleStatistics, prior: PriorSpec, binom: BinomialTable | None = None) -> float:
+def penalized_max(stats: PerMStatistics, prior: PriorSpec) -> float:
     """Best penalized max statistic over m: M_m + log pi(I|m) + log pi(m).
 
     pi(I|m) is uniform over the C(N-1, m-1) partitions of size m.  With the
@@ -259,24 +219,13 @@ def penalized_max(stats: KSampleStatistics, prior: PriorSpec, binom: BinomialTab
     prior terms.  Canonical with the likelihood-ratio score; other scores are
     accepted but non-canonical.
     """
-    if stats.kind != "max":
+    if stats.family != "max":
         raise ValueError("penalized_max expects max-aggregated statistics")
-    binom = _require_prior_table(stats, binom)
-    ms = stats.ms
-    if prior.variant == "ds":
-        pen = -prior.lambda0 * math.log(stats.n) * (ms - 1)
-        return float(np.max(stats.values + pen))
-    log_pi_im = -np.log(binom.choose(stats.n - 1, ms - 1))
-    return float(np.max(stats.values + log_pi_im + prior.log_prior_m(ms, stats.n)))
+    return float(penalize(stats.values, stats.family, stats.n, prior))
 
 
-def penalized_sum(stats: KSampleStatistics, prior: PriorSpec, binom: BinomialTable | None = None) -> float:
+def penalized_sum(stats: PerMStatistics, prior: PriorSpec) -> float:
     """Best penalized per-partition average over m: S_m / C(N-1, m-1) + log pi(m)."""
-    if stats.kind != "sum":
+    if stats.family != "sum":
         raise ValueError("penalized_sum expects sum-aggregated statistics")
-    if prior.variant == "ds":
-        raise ValueError("ds prior applies to max aggregation only")
-    binom = _require_prior_table(stats, binom)
-    ms = stats.ms
-    norm = stats.values / binom.choose(stats.n - 1, ms - 1)
-    return float(np.max(norm + prior.log_prior_m(ms, stats.n)))
+    return float(penalize(stats.values, stats.family, stats.n, prior))

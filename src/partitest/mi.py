@@ -23,6 +23,7 @@ from .core import (
     ScoreKind,
     binomial_table,
     cumulative_count_grid,
+    partition_count,
 )
 
 __all__ = [
@@ -92,14 +93,13 @@ def mi_adp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False)
     score = ScoreKind.LIKELIHOOD_RATIO
     grid = cumulative_count_grid(x.ranks, y.ranks)
     p, q, z = _ind._grid_cell_tables(grid, score, with_nonempty=miller_madow)
-    binom = binomial_table(n)
     tables = _ind._grid_totals_per_size(p, q, n, score)
-    s_m = float(_ind._grid_contract(tables, n, [m], binom)[0])
-    npart = binom.choose(n - 1, m - 1) ** 2
+    s_m = float(_ind._grid_contract(tables, n, [m])[0])
+    npart = partition_count("adp_sum", n, m)
     value = s_m / (n * npart)
     if miller_madow:
         ztab = [[z[xc, yc] for yc in (0, 1)] for xc in (0, 1)]
-        avg_joint = float(_ind._grid_contract(ztab, n, [m], binom)[0]) / npart
+        avg_joint = float(_ind._grid_contract(ztab, n, [m])[0]) / npart
         value += _composed_correction(avg_joint, m, m, n)
     return MIEstimate(value=value, estimator="adp", m=m, n=n, miller_madow_applied=miller_madow)
 
@@ -134,7 +134,7 @@ def mi_ddp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False)
     tabs = _ind._point_cell_tables(grid, x.ranks, y.ranks, score, with_nonempty=miller_madow)
     binom = binomial_table(n)
     s_m = float(_ind._point_values(tabs, n, score, [m], binom)[0])
-    npart = binom.choose(n, m - 1)
+    npart = partition_count("ddp_sum", n, m)
     n_eff = n - m + 1
     value = s_m / (n_eff * npart)
     if miller_madow:
@@ -182,7 +182,7 @@ def mi_ksample(sample: GroupedSample, m: int) -> MIEstimate:
     values = _ks._sum_values(
         sample.labels_by_rank, sample.group_sizes, ScoreKind.LIKELIHOOD_RATIO, m
     )
-    npart = binomial_table(n).choose(n - 1, m - 1)
+    npart = partition_count("sum", n, m)
     return MIEstimate(
         value=float(values[m - 2]) / (n * npart), estimator="ksample", m=m, n=n
     )

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import independence as _ind
 from . import ksample as _ks
-from .core import GroupedSample, RankedSample, ScoreKind, binomial_table
-from .ksample import PriorSpec
+from .core import GroupedSample, RankedSample, ScoreKind, chunk_map
+from .ksample import PriorSpec, penalize
 
 __all__ = [
     "NullTableMeta",
@@ -143,7 +143,11 @@ def _base_labels(meta: NullTableMeta) -> np.ndarray:
 
 
 def _row_statistics(meta: NullTableMeta, arrangement: np.ndarray) -> np.ndarray:
-    """Statistic row for one reassignment; the same path scores observed data."""
+    """Statistic row for one reassignment; the same path scores observed data.
+
+    A K-sample arrangement holds the group label of each response rank; an
+    independence arrangement holds the y rank of each x rank.
+    """
     ms = range(2, meta.m_max + 1)
     if meta.problem == "ksample":
         if meta.family == "sum":
@@ -203,7 +207,8 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
 
     Replicate b draws its RNG from a splittable hash of (seed, b), and rows
     are assembled in replicate order, so the result is bit-identical for any
-    thread count.  Exact mode replaces B with the enumeration count.
+    thread count (worker processes, at most one per core).  Exact mode
+    replaces B with the enumeration count.
     """
     if meta.b < 100:
         raise ValueError("B must be at least 100")
@@ -212,14 +217,7 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
         data = _exact_rows(meta, count)
         return NullTable(meta=replace(meta, b=count, exact=True), data=data)
     meta = replace(meta, exact=False)
-    if threads <= 1:
-        return NullTable(meta=meta, data=_mc_rows(meta, 0, meta.b))
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, meta.b, 4 * threads + 1, dtype=int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_mc_rows, [meta] * len(chunks), *zip(*chunks)))
+    parts = chunk_map(_mc_rows, (meta,), meta.b, threads)
     return NullTable(meta=meta, data=np.vstack(parts))
 
 
@@ -260,6 +258,7 @@ def save_table(table: NullTable, path: str) -> None:
 
 
 def load_table(path: str) -> NullTable:
+    """Read a ``.pnt`` file; a malformed header or non-finite row raises ValueError."""
     fields: dict[str, str] = {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -279,6 +278,9 @@ def load_table(path: str) -> NullTable:
                 fields[key] = value
             elif line:
                 rows.append([float(tok) for tok in line.split("\t")])
+    for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
+        if key not in fields:
+            raise ValueError(f"missing header key: {key}")
     groups = fields.get("groups", "")
     meta = NullTableMeta(
         problem=fields["problem"],
@@ -291,7 +293,10 @@ def load_table(path: str) -> NullTable:
         seed=int(fields["seed"]),
         exact=fields.get("exact", "0") == "1",
     )
-    return NullTable(meta=meta, data=np.asarray(rows, dtype=float))
+    data = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("non-finite statistic in table")
+    return NullTable(meta=meta, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -332,29 +337,6 @@ def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _penalized_rows(values: np.ndarray, meta: NullTableMeta, prior: PriorSpec) -> np.ndarray:
-    """Prior-penalized statistic per row, max over m (shared by observed and null)."""
-    rows = np.atleast_2d(values)
-    ms = np.arange(2, meta.m_max + 1)
-    n = meta.n
-    binom = binomial_table(n)
-    if meta.family == "max":
-        if prior.variant == "ds":
-            add = -prior.lambda0 * math.log(n) * (ms - 1)
-        else:
-            add = -np.log(binom.choose(n - 1, ms - 1)) + prior.log_prior_m(ms, n)
-        return np.max(rows + add, axis=1)
-    if prior.variant == "ds":
-        raise ValueError("ds prior applies to max aggregation only")
-    if meta.problem == "ksample":
-        denom = binom.choose(n - 1, ms - 1)
-    elif meta.family == "adp_sum":
-        denom = binom.choose(n - 1, ms - 1) ** 2
-    else:
-        denom = binom.choose(n, ms - 1)
-    return np.max(rows / denom + prior.log_prior_m(ms, n), axis=1)
-
-
 def combined_null_distribution(
     table: NullTable, kind: str, prior: PriorSpec | None = None
 ) -> np.ndarray:
@@ -369,7 +351,7 @@ def combined_null_distribution(
     if kind == "penalized":
         if prior is None:
             raise ValueError("penalized combination needs a prior")
-        return np.sort(_penalized_rows(table.data, table.meta, prior))
+        return np.sort(penalize(table.data, table.meta.family, table.meta.n, prior))
     pv = _per_m_pvalue_rows(table, table.data)
     if kind == "minp":
         combined = pv.min(axis=1)
@@ -406,10 +388,9 @@ def _observed_arrangement(data, meta: NullTableMeta):
         raise ValueError("table incompatible: expected ranked samples")
     if x.n != meta.n or y.n != meta.n:
         raise ValueError("table incompatible: sample size differs")
-    ms = range(2, meta.m_max + 1)
-    if meta.family == "adp_sum":
-        return _ind._adp_values_raw(x.ranks, y.ranks, meta.n, meta.score, ms)
-    return _ind._ddp_values_raw(x.ranks, y.ranks, meta.n, meta.score, ms)
+    y_by_x = np.empty(meta.n, dtype=np.int64)
+    y_by_x[x.ranks - 1] = y.ranks
+    return _row_statistics(meta, y_by_x)
 
 
 def run_test(data, table: NullTable, kind: str = "minp", prior: PriorSpec | None = None) -> TestResult:
@@ -427,7 +408,7 @@ def run_test(data, table: NullTable, kind: str = "minp", prior: PriorSpec | None
     null_combined = table.combined_null(kind, prior)
     b = table.b
     if kind == "penalized":
-        stat = float(_penalized_rows(observed, table.meta, prior)[0])
+        stat = float(penalize(observed, table.meta.family, table.meta.n, prior))
         extreme = b - int(np.searchsorted(null_combined, stat, side="left"))
     else:
         stat = combined_statistic(pvec, kind)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .core import GroupedSample, rank_with_random_ties
+from .core import GroupedSample, chunk_map, rank_with_random_ties
 from .ksample import PriorSpec
 from .nulltable import NullTable, run_test
 
@@ -333,9 +333,9 @@ def power_study(
     """Fraction of replicates whose final p-value is at or below alpha.
 
     Per-m rates count replicates with p_m <= alpha for each fixed size.
-    Replicates are data-parallel over ``threads``; the reduction is an
-    ordered integer sum of indicator bits, so the report is identical for
-    any thread count.
+    Replicates are data-parallel over ``threads`` worker processes (at most
+    one per core); the reduction is an ordered integer sum of indicator bits,
+    so the report is identical for any thread count.
     """
     meta = table.meta
     if meta.problem != spec.problem or meta.n != spec.n:
@@ -343,27 +343,12 @@ def power_study(
     if spec.problem == "ksample" and meta.group_sizes != spec.group_sizes:
         raise ValueError("table incompatible: group sizes differ")
     ms = tuple(int(m) for m in table.ms)
-    if threads <= 1 or spec.replicates < 2 * threads:
-        rejections, per_m = _power_chunk(spec, table, combined_kind, prior, 0, spec.replicates)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        table.combined_null(combined_kind, prior)  # build once, ship to workers
-        bounds = np.linspace(0, spec.replicates, 4 * threads + 1, dtype=int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    _power_chunk,
-                    [spec] * len(chunks),
-                    [table] * len(chunks),
-                    [combined_kind] * len(chunks),
-                    [prior] * len(chunks),
-                    *zip(*chunks),
-                )
-            )
-        rejections = sum(r for r, _ in parts)
-        per_m = np.sum([p for _, p in parts], axis=0)
+    table.combined_null(combined_kind, prior)  # build once, ship to workers
+    parts = chunk_map(
+        _power_chunk, (spec, table, combined_kind, prior), spec.replicates, threads
+    )
+    rejections = sum(r for r, _ in parts)
+    per_m = np.sum([p for _, p in parts], axis=0)
     rate = rejections / spec.replicates
     se = math.sqrt(rate * (1.0 - rate) / spec.replicates)
     return PowerReport(

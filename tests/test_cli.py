@@ -147,6 +147,28 @@ class TestTestCommand:
         assert code == 4
         assert ":2" in err
 
+    def test_missing_header_key_exits_4(self, exact_table, tmp_path, capsys):
+        lines = exact_table.read_text().split("\n")
+        exact_table.write_text("\n".join(ln for ln in lines if not ln.startswith("#seed=")))
+        data = tmp_path / "d.tsv"
+        data.write_text("1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(exact_table))
+        assert code == 4
+        assert out == ""
+        assert "missing header key: seed" in err and len(err.strip().split("\n")) == 1
+
+    def test_non_finite_table_exits_4(self, exact_table, tmp_path, capsys):
+        lines = exact_table.read_text().split("\n")
+        first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
+        lines[first] = "nan\tnan\tnan"
+        exact_table.write_text("\n".join(lines))
+        data = tmp_path / "d.tsv"
+        data.write_text("1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(exact_table))
+        assert code == 4
+        assert out == ""
+        assert "non-finite" in err
+
     def test_independence_table_path(self, tmp_path, capsys):
         table_path = tmp_path / "ind.pnt"
         code, _, _ = run_cli(

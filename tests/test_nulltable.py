@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 from dataclasses import replace
@@ -25,6 +26,7 @@ from partitest import (
     save_table,
 )
 from partitest.nulltable import exact_enumeration_count
+from partitest.oracle import oracle_ddp
 
 
 def ksample_meta(**kw):
@@ -223,12 +225,86 @@ class TestPersistence:
         with pytest.raises(ValueError, match="major version"):
             load_table(str(bad))
 
+    @pytest.mark.parametrize("key", ["problem", "family", "score", "N", "m_max", "B", "seed"])
+    def test_missing_header_key_rejected(self, tmp_path, key):
+        table = generate_null_table(ksample_meta())
+        path = tmp_path / "t.pnt"
+        save_table(table, str(path))
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"#{key}=")))
+        with pytest.raises(ValueError, match=f"missing header key: {key}$"):
+            load_table(str(path))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_row_rejected(self, tmp_path, token):
+        table = generate_null_table(ksample_meta())
+        path = tmp_path / "t.pnt"
+        save_table(table, str(path))
+        lines = path.read_text().split("\n")
+        first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
+        lines[first] = "\t".join([token] * (table.meta.m_max - 1))
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_table(str(path))
+
     def test_no_partial_file_on_failure(self, tmp_path):
         table = generate_null_table(ksample_meta())
         target = tmp_path / "missing-dir" / "t.pnt"
         with pytest.raises(OSError):
             save_table(table, str(target))
         assert not target.exists()
+
+
+def golden_meta(**kw):
+    base = dict(score="lr", group_sizes=None, b=100, seed=11)
+    base.update(kw)
+    return NullTableMeta(**base)
+
+
+# SHA-256 of save_table output, recorded when the format and statistics were
+# fixed; any change to row scoring, row order or number formatting shows here.
+GOLDEN_TABLES = [
+    (
+        golden_meta(problem="ksample", family="sum", n=6, group_sizes=(3, 3), m_max=4),
+        "bde6fee898b4b8b820fa16baecae6b5fe96c1972e1a7bec391e0e1694f32381b",
+    ),
+    (
+        golden_meta(
+            problem="ksample", family="max", n=6, group_sizes=(3, 3), m_max=4, score="pearson"
+        ),
+        "716d95f09141f878511a486780ac90bcef8f0e5a7fd948e09f3e9faad1190774",
+    ),
+    (
+        golden_meta(problem="ksample", family="sum", n=20, group_sizes=(10, 10), m_max=6, b=120),
+        "da33ea95739a2ded1510c53debbccfd79b160f44e3ee408955c11c3471fce19e",
+    ),
+    (
+        golden_meta(problem="independence", family="adp_sum", n=6, m_max=3),
+        "c5b98e0701c4cc7ece27109d7ac363b2484c4ffbf09df291eec98411ecae58ed",
+    ),
+    (
+        golden_meta(problem="independence", family="ddp_sum", n=6, m_max=3, score="pearson"),
+        "3ab794e5f5adf4b264b38ff6b191c0fb80e11ce66803718f36dc9448a247b567",
+    ),
+    (
+        golden_meta(problem="independence", family="adp_sum", n=9, m_max=3),
+        "6d82f1f29e503ef6a4e8a77aa77fd1a2c60f73ade973c062d329f84c4bb13388",
+    ),
+    (
+        golden_meta(problem="independence", family="ddp_sum", n=9, m_max=3),
+        "1f1ed327a981d07ccbe746402b1b1909afbb30c173187f43ca100be51a3ce00c",
+    ),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("meta,digest", GOLDEN_TABLES)
+    def test_table_bytes(self, tmp_path, meta, digest, threads):
+        table = generate_null_table(meta, threads=threads)
+        path = tmp_path / "t.pnt"
+        save_table(table, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCombinedNull:
@@ -282,6 +358,40 @@ class TestRunTest:
             combined = combined_null_distribution(table, "minp")
             leq = int(np.sum(combined <= res.combined_statistic))
             assert res.final_pvalue == pytest.approx((1 + leq) / (b + 1))
+
+    @pytest.mark.parametrize("family", ["adp_sum", "ddp_sum"])
+    def test_independence_self_consistency_exact_mode(self, family):
+        # points in shuffled order whose y-by-x arrangement is each table row
+        n = 5
+        table = generate_null_table(indep_meta(family=family, n=n, m_max=4))
+        assert table.meta.b == 120
+        b = table.meta.b
+        combined = combined_null_distribution(table, "minp")
+        rng = np.random.default_rng(9)
+        for i, perm in enumerate(permutations(range(1, n + 1))):
+            xr = rng.permutation(n) + 1
+            yr = np.asarray(perm)[xr - 1]
+            res = run_test((RankedSample(xr, n, 0), RankedSample(yr, n, 0)), table, "minp")
+            row = table.data[i]
+            expected = [(1 + int(np.sum(col >= v))) / (b + 1) for col, v in zip(table.data.T, row)]
+            assert np.array_equal(res.per_m_pvalues, expected)
+            leq = int(np.sum(combined <= res.combined_statistic))
+            assert res.final_pvalue == (1 + leq) / (b + 1)
+
+    def test_penalized_ddp_matches_oracle_means(self):
+        n = 6
+        table = generate_null_table(indep_meta(family="ddp_sum", n=n, m_max=4))
+        rng = np.random.default_rng(10)
+        x = RankedSample(np.arange(1, n + 1), n, 0)
+        y = RankedSample(rng.permutation(n) + 1, n, 0)
+        for prior in (PriorSpec.poisson_sqrt_n(), PriorSpec.binomial(0.3)):
+            expected = max(
+                oracle_ddp(x, y, "lr", m)[0] / math.comb(n, m - 1)
+                + prior.log_prior_m(np.array([m]), n)[0]
+                for m in (2, 3, 4)
+            )
+            res = run_test((x, y), table, "penalized", prior)
+            assert res.combined_statistic == pytest.approx(expected, rel=1e-10)
 
     def test_bounds(self):
         table = generate_null_table(ksample_meta(n=20, group_sizes=(10, 10), m_max=5, b=120))
