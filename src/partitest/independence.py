@@ -18,17 +18,18 @@ The pairwise-classification statistic (every ordered pair of points induces a
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations, islice
 
 import numpy as np
 
 from .core import (
-    BinomialTable,
     CumulativeCountGrid,
     PerMStatistics,
     RankedSample,
     ScoreKind,
     _check_m_max,
+    _freeze,
     _log_table,
     _pair_index_cache,
     _span_weight_rows,
@@ -60,112 +61,236 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 # ---------------------------------------------------------------------------
-# Grid partitions, sum aggregation
+# Grid partitions: the cell layer and sum aggregation
+
+# Bytes of per-width Gram matrices the Pearson kernel holds at once; a small
+# block keeps the sweep's peak memory close to that of a per-span loop.
+_GRAM_BLOCK_BYTES = 1 << 19
 
 
-def _grid_cell_tables(grid: CumulativeCountGrid, score: ScoreKind, with_nonempty: bool = False):
-    """Cell-score totals bucketed by (x-span class, y-span class, width, length).
+@lru_cache(maxsize=32)
+def _span_cover_counts(n: int) -> np.ndarray:
+    """Spans of each (class, size) that contain each rank: an (N, 2(N+1)) table.
 
-    Class 0 spans are internal (touch neither end of the axis), class 1 spans
-    touch an end.  Returns (P, Q, Z): P sums the score kernel (o*log(o) for
-    the likelihood ratio, o^2 for Pearson), Q sums o, Z counts non-empty
-    cells (only when requested).  The full-width x-span is skipped: it sits
-    in no partition with at least one x cut.
+    Row r - 1 is rank r; columns are internal sizes 0..N, then edge sizes
+    0..N.  A span (c, c+s] is internal when 1 <= c and c+s <= N-1, an edge
+    span otherwise; the full span (0, N] counts once, as an edge span.
     """
-    a = grid.a
-    n = grid.n
-    if score is ScoreKind.LIKELIHOOD_RATIO:
-        lut = _xlogx_table(n)
-    else:
-        lut = np.square(np.arange(n + 1, dtype=float))
+    r = np.arange(1, n + 1)[:, None]
+    s = np.arange(n + 1)[None, :]
+    internal = np.maximum(np.minimum(r - 1, n - 1 - s) - np.maximum(1, r - s) + 1, 0)
+    edge = (r <= s).astype(np.int64) + (r >= n + 1 - s)
+    edge[:, n] = 1
+    return _freeze(np.concatenate((internal, edge), axis=1).astype(float))
+
+
+@lru_cache(maxsize=32)
+def _lag_sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the strict upper triangle of an n x n matrix, by lag.
+
+    Returns (flat, starts): superdiagonal l occupies flat[starts[l-1]:starts[l]].
+    """
+    ii, jj = _pair_index_cache(n)
+    order = np.argsort(jj - ii, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
+    return _freeze(ii[order] * n + jj[order]), _freeze(starts)
+
+
+@lru_cache(maxsize=32)
+def _pair_class_keys(n: int) -> np.ndarray:
+    """yc * (N+1) + length for every y-span (c, d) in pair-cache order."""
     cc, dd = _pair_index_cache(n + 1)
-    ll = dd - cc
-    edge_sel = np.flatnonzero((cc == 0) | (dd == n))
-    int_sel = np.flatnonzero((cc != 0) & (dd != n))
-    sels = (int_sel, edge_sel)
-    lls = (ll[int_sel], ll[edge_sel])
-    ccs = (cc[int_sel], cc[edge_sel])
-    dds = (dd[int_sel], dd[edge_sel])
-    p = np.zeros((2, 2, n + 1, n + 1))
-    q = np.zeros((2, 2, n + 1, n + 1))
-    z = np.zeros((2, 2, n + 1, n + 1)) if with_nonempty else None
-    for lo in range(n):
-        row_lo = a[lo]
-        for hi in range(lo + 1, n + 1):
-            if lo == 0 and hi == n:
-                continue
-            w = hi - lo
-            xc = 0 if (lo >= 1 and hi <= n - 1) else 1
-            diff = a[hi] - row_lo
-            for yc in (0, 1):
-                o = diff[dds[yc]] - diff[ccs[yc]]
-                lw = lls[yc]
-                p[xc, yc, w] += np.bincount(lw, weights=lut[o], minlength=n + 1)
-                q[xc, yc, w] += np.bincount(lw, weights=o, minlength=n + 1)
-                if with_nonempty:
-                    z[xc, yc, w] += np.bincount(lw, weights=(o > 0).astype(float), minlength=n + 1)
-    return p, q, z
+    return _freeze(np.where((cc == 0) | (dd == n), n + 1, 0) + (dd - cc))
 
 
-def _grid_span_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number of internal / edge spans per width actually visited by the sweep."""
-    ws = np.arange(n + 1)
-    internal = np.maximum(n - 1 - ws, 0)
-    internal[0] = 0
-    edge = np.where((ws >= 1) & (ws <= n - 1), 2, 0)
-    return internal, edge
-
-
-def _grid_totals_per_size(p, q, n: int, score: ScoreKind):
-    """Per-(width, length) cell-score totals T[xc][yc] from the accumulators."""
-    if score is ScoreKind.LIKELIHOOD_RATIO:
-        lg = _log_table(n)
-        adj = lg[:, None] + lg[None, :] - math.log(n)
-        return [[p[xc, yc] - q[xc, yc] * adj for yc in (0, 1)] for xc in (0, 1)]
+@lru_cache(maxsize=32)
+def _pearson_size_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Non-empty sizes, max(width * length, 1), and the summed expected counts."""
     ws = np.arange(n + 1, dtype=float)
     wl = np.outer(ws, ws)
-    safe = np.maximum(wl, 1.0)
-    ni, ne = _grid_span_counts(n)
-    counts = (ni.astype(float), ne.astype(float))
-    out = []
-    for xc in (0, 1):
-        row = []
-        for yc in (0, 1):
-            cnt = np.outer(counts[xc], counts[yc])
-            row.append(np.where(wl > 0, n * p[xc, yc] / safe - 2.0 * q[xc, yc] + cnt * wl / n, 0.0))
-        out.append(row)
-    return out
+    internal = np.maximum(n - 1 - ws, 0)
+    internal[0] = 0
+    edge = np.where((ws >= 1) & (ws <= n - 1), 2.0, 0.0)
+    counts = (internal, edge)
+    expected = np.array([[np.outer(cx, cy) * wl / n for cy in counts] for cx in counts])
+    return _freeze(wl > 0), _freeze(np.maximum(wl, 1.0)), _freeze(expected)
 
 
-def _grid_contract(tables, n: int, ms) -> np.ndarray:
-    rows = _span_weight_rows(n, max(ms))
-    out = np.empty(len(ms))
-    for idx, m in enumerate(ms):
-        fx = (rows[m - 2, : n + 1], rows[m - 2, n + 1 :])
-        out[idx] = math.fsum(
-            float(fx[xc] @ tables[xc][yc] @ fx[yc]) for xc in (0, 1) for yc in (0, 1)
-        )
-    return out
+class GridCells:
+    """Every cell of every grid partition, swept once, then contracted per m.
 
+    A grid cell is an x-span (lo, hi] times a y-span (c, d] of the rank
+    plane; its count o is the number of points inside.  Spans are internal
+    (touching neither end of their axis) or edge spans, and the number of
+    size-m partitions containing a cell depends only on the two classes and
+    the span sizes.  The sweep therefore totals the cell scores per
+    (x class, y class, width, length); :meth:`contract` then weights those
+    totals by partition counts, in O(N^2) per m.  The grid-sum statistics,
+    the ``adp_sum`` null-table rows and ``mi_adp`` all go through this class.
 
-def _adp_values_raw(xr, yr, n: int, score: ScoreKind, ms) -> np.ndarray:
-    grid = cumulative_count_grid(xr, yr)
-    p, q, _ = _grid_cell_tables(grid, score)
-    tables = _grid_totals_per_size(p, q, n, score)
-    return _grid_contract(tables, n, list(ms))
+    The full-width x-span sits in no partition with an x cut and is skipped.
+    Per bucket the sweep keeps sum(o), a closed form over the points (the
+    number of spans of each size containing each rank), and the sum of the
+    score kernel, for which there are two kernels:
+
+    - Pearson (o^2): for each width w, D = A[w:] - A[:N+1-w] holds the y
+      cumulative counts of every x-span of width w, so the y-span (c, d)
+      counts are D[:, d] - D[:, c], and summed over the x-spans
+      sum(o^2) = G[c, c] + G[d, d] - 2 G[c, d] with the Gram matrix G = D'D.
+      Per length l that is two diagonal prefix sums minus twice the l-th
+      superdiagonal sum.  Every entry of D and G, and every sum formed from
+      them, is an integer of magnitude at most 4 N^4 (G entries are at most
+      N^3), below 2^53 for any N up to 6800.  So the floating-point products
+      and sums are exact, and the result does not depend on the summation
+      order, BLAS blocking or the BLAS thread count.
+    - Likelihood ratio (o log o): a loop over x-spans, each scoring its
+      y-spans with one bincount over the key y class * (N+1) + length.
+      Every (x-span, y class, length) total adds the same terms in the same
+      order as the plain per-cell loop, and x-spans are added in order.
+
+    With ``nonempty`` the likelihood-ratio sweep also counts non-empty
+    cells, which the Miller-Madow correction of ``mi_adp`` contracts.
+    """
+
+    def __init__(self, xr, yr, score: ScoreKind, nonempty: bool = False):
+        grid = cumulative_count_grid(xr, yr)
+        n = grid.n
+        if nonempty and score is not ScoreKind.LIKELIHOOD_RATIO:
+            raise ValueError("nonempty-cell counts come from the likelihood-ratio sweep")
+        q = self._count_sums(xr, yr, n)
+        z = None
+        if score is ScoreKind.LIKELIHOOD_RATIO:
+            p, z = self._lr_sweep(grid.a, n, nonempty)
+            lg = _log_table(n)
+            q *= lg[:, None] + lg[None, :] - math.log(n)
+            # Written into q so the totals are C-contiguous, as the contraction's
+            # BLAS calls (and so their rounding) depend on the memory layout.
+            self._totals = np.subtract(p, q, out=q)
+        else:
+            self._totals = self._pearson_totals(self._square_sweep(grid.a, n), q, n)
+        self.n = n
+        self._nonempty = z
+
+    @staticmethod
+    def _count_sums(xr, yr, n: int) -> np.ndarray:
+        """sum(o) per bucket: over the points, spans containing x times spans containing y."""
+        cover = _span_cover_counts(n)
+        y_cover = np.empty_like(cover)
+        y_cover[xr - 1] = cover[yr - 1]
+        q = np.empty((2, 2, n + 1, n + 1))
+        classes = (slice(0, n + 1), slice(n + 1, 2 * n + 2))
+        for xc in (0, 1):
+            for yc in (0, 1):
+                np.matmul(cover[:, classes[xc]].T, y_cover[:, classes[yc]], out=q[xc, yc])
+        q[1, :, n] = 0.0  # the full-width x-span is not swept
+        return q
+
+    @staticmethod
+    def _lr_sweep(a: np.ndarray, n: int, nonempty: bool):
+        """sum(o log o), and the non-empty cell count if asked, per bucket."""
+        lut = _xlogx_table(n)
+        cc, dd = _pair_index_cache(n + 1)
+        keys = _pair_class_keys(n)
+        nk = 2 * (n + 1)
+        # p is accumulated as [x class, width, y class, length] and returned as
+        # a view in bucket order; z, contracted as is, is kept in bucket order.
+        p = np.zeros((2, n + 1, nk))
+        z = np.zeros((2, 2, n + 1, n + 1)) if nonempty else None
+        for lo in range(n):
+            row_lo = a[lo]
+            for hi in range(lo + 1, n + (lo > 0)):
+                xc = 0 if (lo >= 1 and hi <= n - 1) else 1
+                diff = a[hi] - row_lo
+                o = diff[dd] - diff[cc]
+                p[xc, hi - lo] += np.bincount(keys, weights=lut[o], minlength=nk)
+                if nonempty:
+                    z[xc, :, hi - lo] += np.bincount(keys[o > 0], minlength=nk).reshape(2, n + 1)
+        return p.reshape(2, n + 1, 2, n + 1).transpose(0, 2, 1, 3), z
+
+    @staticmethod
+    def _square_sweep(a: np.ndarray, n: int) -> np.ndarray:
+        """sum(o^2) per bucket from per-width Gram matrices (exact integers)."""
+        af = a[:, 1:].astype(float)
+        p = np.zeros((2, 2, n + 1, n + 1))
+        flat, starts = _lag_sorted_pairs(n)
+        step = max(1, _GRAM_BLOCK_BYTES // (16 * n * n))
+        lens = np.arange(1, n)  # y-lengths of the edge spans (N-l, N]
+        li = lens[:-1]  # y-lengths of the internal spans
+        for w0 in range(1, n, step):
+            widths = range(w0, min(w0 + step, n))
+            gram = np.empty((2, len(widths), n, n))
+            for i, w in enumerate(widths):
+                d = af[w:] - af[: n + 1 - w]
+                inner = d[1:-1]
+                outer = d[:: n - w]
+                gram[0, i] = inner.T @ inner
+                gram[1, i] = outer.T @ outer
+            # Columns are y-ranks 1..N: g[j-1] = G[j, j], last[j-1] = G[j, N],
+            # sup[l-1] sums G[j, j+l] over j; all indexed [x class, width].
+            g = np.diagonal(gram, axis1=2, axis2=3)
+            last = gram[..., n - 1]
+            sup = np.add.reduceat(gram.reshape(2, len(widths), n * n)[..., flat], starts, axis=-1)
+            cg = np.cumsum(g, axis=-1)
+            block = p[:, :, w0 : w0 + len(widths)]
+            # Internal y-spans (c, c+l], 1 <= c <= N-1-l: the l-th superdiagonal
+            # sum includes the edge pair (N-l, N], taken back out.
+            block[:, 0, :, 1 : n - 1] = (
+                cg[..., n - 2 - li]
+                + (cg[..., n - 2 : n - 1] - cg[..., li - 1])
+                - 2.0 * (sup[..., li - 1] - last[..., n - 1 - li])
+            )
+            # Edge y-spans: (0, l] for l = 1..N, and (N-l, N] for l = 1..N-1.
+            block[:, 1, :, 1:] = g
+            block[:, 1, :, 1:n] += (
+                g[..., n - 1 : n] + g[..., n - 1 - lens] - 2.0 * last[..., n - 1 - lens]
+            )
+        return p
+
+    @staticmethod
+    def _pearson_totals(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+        """sum((o - e)^2 / e) per bucket, e = width * length / N, computed in p."""
+        sized, safe, expected = _pearson_size_terms(n)
+        p *= n
+        p /= safe
+        q *= 2.0
+        p -= q
+        p += expected
+        p[:, :, ~sized] = 0.0
+        return p
+
+    def _contract(self, tables: np.ndarray, ms) -> np.ndarray:
+        n = self.n
+        rows = _span_weight_rows(n, max(ms))
+        out = np.empty(len(ms))
+        for idx, m in enumerate(ms):
+            fx = (rows[m - 2, : n + 1], rows[m - 2, n + 1 :])
+            out[idx] = math.fsum(
+                float(fx[xc] @ tables[xc][yc] @ fx[yc]) for xc in (0, 1) for yc in (0, 1)
+            )
+        return out
+
+    def contract(self, ms) -> np.ndarray:
+        """Sum statistic S_m for each m in ``ms``: the score summed over partitions."""
+        return self._contract(self._totals, list(ms))
+
+    def contract_nonempty(self, ms) -> np.ndarray:
+        """Non-empty cells summed over all size-m partitions, for each m in ``ms``."""
+        if self._nonempty is None:
+            raise ValueError("cells were swept without nonempty-cell counts")
+        return self._contract(self._nonempty, list(ms))
 
 
 def adp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
     """Sum-aggregated grid-partition statistic for every m in 2..m_max.
 
-    One O(N^4) sweep accumulates per-size cell totals; every per-m value is
-    then an O(N^2) weighted contraction, with expected counts width*length/N.
-    ``m_max`` defaults to floor(sqrt(N)).
+    One O(N^4) sweep of :class:`GridCells` accumulates per-size cell totals;
+    every per-m value is then an O(N^2) weighted contraction, with expected
+    counts width*length/N.  ``m_max`` defaults to floor(sqrt(N)).
     """
     score = ScoreKind.parse(score)
     xr, yr, n = _as_pair(x, y)
     m_max = _check_m_max(m_max, "independence", n)
-    values = _adp_values_raw(xr, yr, n, score, range(2, m_max + 1))
+    values = GridCells(xr, yr, score).contract(range(2, m_max + 1))
     return PerMStatistics(family=ADP_SUM, score=score, values=values, n=n)
 
 
@@ -173,7 +298,61 @@ def adp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
 # Point-anchored partitions, sum aggregation
 
 
-def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with_nonempty: bool = False):
+class PointCells:
+    """Every valid point-anchored cell, swept once, then contracted per m.
+
+    The sweep buckets cells by (defining points k, outer count), which fixes
+    the number of size-m partitions containing a cell; :meth:`contract`
+    weights the bucket totals per m, with the expected-count divisor
+    N - m + 1 entering only there.  ``ddp_sum_all_m``, the ``ddp_sum``
+    null-table rows and ``mi_ddp`` all go through this class.  With
+    ``nonempty`` the sweep also counts non-empty cells for the Miller-Madow
+    correction of ``mi_ddp``.
+    """
+
+    def __init__(self, xr, yr, score: ScoreKind, nonempty: bool = False):
+        grid = cumulative_count_grid(xr, yr)
+        self.n = grid.n
+        self.score = score
+        self._u, self._v, self._w, self._z = _point_cell_tables(grid, xr, yr, score, nonempty)
+
+    def _bucket_weights(self, m: int) -> np.ndarray:
+        """C(out, m-1-k) over the flat (k, out) buckets."""
+        n = self.n
+        binom = binomial_table(n)
+        outs = np.arange(n + 1)
+        rows = [np.zeros(n + 1)]
+        for k in range(1, 5):
+            rows.append(binom.choose(outs, m - 1 - k))
+        return np.concatenate(rows)
+
+    def contract(self, ms) -> np.ndarray:
+        """Sum statistic S_m for each m in ``ms``: the score summed over partitions."""
+        ms = list(ms)
+        out = np.empty(len(ms))
+        for idx, m in enumerate(ms):
+            weights = self._bucket_weights(m)
+            div = self.n - m + 1
+            if self.score is ScoreKind.LIKELIHOOD_RATIO:
+                # o*log(o/e) with e = area/div splits into the bucketed numerator
+                # plus o*log(div), so the m-dependence is a single scalar.
+                out[idx] = float(weights @ self._u) + math.log(div) * float(weights @ self._v)
+            else:
+                out[idx] = (
+                    div * float(weights @ self._u)
+                    - 2.0 * float(weights @ self._v)
+                    + float(weights @ self._w) / div
+                )
+        return out
+
+    def contract_nonempty(self, ms) -> np.ndarray:
+        """Non-empty cells summed over all size-m partitions, for each m in ``ms``."""
+        if self._z is None:
+            raise ValueError("cells were swept without nonempty-cell counts")
+        return np.array([float(self._bucket_weights(m) @ self._z) for m in ms])
+
+
+def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with_nonempty: bool):
     """Valid point-anchored cells bucketed by (defining points k, outer count).
 
     A candidate cell [rl, rh] x [sl, sh] (0 and N+1 stand for the axis
@@ -261,51 +440,17 @@ def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with
     return u_acc, v_acc, w_acc, z_acc
 
 
-def _point_bucket_weights(n: int, m: int, binom: BinomialTable) -> np.ndarray:
-    """C(out, m-1-k) over the flat (k, out) buckets."""
-    outs = np.arange(n + 1)
-    rows = [np.zeros(n + 1)]
-    for k in range(1, 5):
-        rows.append(binom.choose(outs, m - 1 - k))
-    return np.concatenate(rows)
-
-
-def _point_values(tabs, n: int, score: ScoreKind, ms, binom: BinomialTable) -> np.ndarray:
-    u_acc, v_acc, w_acc, _ = tabs
-    out = np.empty(len(ms))
-    for idx, m in enumerate(ms):
-        weights = _point_bucket_weights(n, m, binom)
-        div = n - m + 1
-        if score is ScoreKind.LIKELIHOOD_RATIO:
-            # o*log(o/e) with e = area/div splits into the bucketed numerator
-            # plus o*log(div), so the m-dependence is a single scalar.
-            out[idx] = float(weights @ u_acc) + math.log(div) * float(weights @ v_acc)
-        else:
-            out[idx] = (
-                div * float(weights @ u_acc)
-                - 2.0 * float(weights @ v_acc)
-                + float(weights @ w_acc) / div
-            )
-    return out
-
-
-def _ddp_values_raw(xr, yr, n: int, score: ScoreKind, ms) -> np.ndarray:
-    grid = cumulative_count_grid(xr, yr)
-    tabs = _point_cell_tables(grid, xr, yr, score)
-    return _point_values(tabs, n, score, list(ms), binomial_table(n))
-
-
 def ddp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
     """Sum-aggregated point-anchored statistic for every m in 2..m_max.
 
-    Cells are classified once by defining-point count and outer-quadrant
-    occupancy (O(N^4) sweep); the expected count divisor N - m + 1 enters
-    only per m.  ``m_max`` defaults to floor(sqrt(N)).
+    :class:`PointCells` classifies cells once by defining-point count and
+    outer-quadrant occupancy (O(N^4) sweep); the expected count divisor
+    N - m + 1 enters only per m.  ``m_max`` defaults to floor(sqrt(N)).
     """
     score = ScoreKind.parse(score)
     xr, yr, n = _as_pair(x, y)
     m_max = _check_m_max(m_max, "independence", n)
-    values = _ddp_values_raw(xr, yr, n, score, range(2, m_max + 1))
+    values = PointCells(xr, yr, score).contract(range(2, m_max + 1))
     return PerMStatistics(family=DDP_SUM, score=score, values=values, n=n)
 
 

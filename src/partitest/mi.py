@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import independence as _ind
 from . import ksample as _ks
 from .core import (
     BinomialTable,
@@ -22,9 +21,9 @@ from .core import (
     RankedSample,
     ScoreKind,
     binomial_table,
-    cumulative_count_grid,
     partition_count,
 )
+from .independence import GridCells, PointCells
 
 __all__ = [
     "MIEstimate",
@@ -90,16 +89,12 @@ def mi_adp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False)
     column and row strips, so the marginal terms are constant.
     """
     n = _check_pair(x, y, m)
-    score = ScoreKind.LIKELIHOOD_RATIO
-    grid = cumulative_count_grid(x.ranks, y.ranks)
-    p, q, z = _ind._grid_cell_tables(grid, score, with_nonempty=miller_madow)
-    tables = _ind._grid_totals_per_size(p, q, n, score)
-    s_m = float(_ind._grid_contract(tables, n, [m])[0])
+    cells = GridCells(x.ranks, y.ranks, ScoreKind.LIKELIHOOD_RATIO, nonempty=miller_madow)
+    s_m = float(cells.contract([m])[0])
     npart = partition_count("adp_sum", n, m)
     value = s_m / (n * npart)
     if miller_madow:
-        ztab = [[z[xc, yc] for yc in (0, 1)] for xc in (0, 1)]
-        avg_joint = float(_ind._grid_contract(ztab, n, [m])[0]) / npart
+        avg_joint = float(cells.contract_nonempty([m])[0]) / npart
         value += _composed_correction(avg_joint, m, m, n)
     return MIEstimate(value=value, estimator="adp", m=m, n=n, miller_madow_applied=miller_madow)
 
@@ -129,18 +124,14 @@ def mi_ddp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False)
     only the N - m + 1 points strictly inside cells carry mass.
     """
     n = _check_pair(x, y, m)
-    score = ScoreKind.LIKELIHOOD_RATIO
-    grid = cumulative_count_grid(x.ranks, y.ranks)
-    tabs = _ind._point_cell_tables(grid, x.ranks, y.ranks, score, with_nonempty=miller_madow)
-    binom = binomial_table(n)
-    s_m = float(_ind._point_values(tabs, n, score, [m], binom)[0])
+    cells = PointCells(x.ranks, y.ranks, ScoreKind.LIKELIHOOD_RATIO, nonempty=miller_madow)
+    s_m = float(cells.contract([m])[0])
     npart = partition_count("ddp_sum", n, m)
     n_eff = n - m + 1
     value = s_m / (n_eff * npart)
     if miller_madow:
-        weights = _ind._point_bucket_weights(n, m, binom)
-        avg_joint = float(weights @ tabs[3]) / npart
-        avg_margin = _ddp_margin_nonempty_sum(n, m, binom) / npart
+        avg_joint = float(cells.contract_nonempty([m])[0]) / npart
+        avg_margin = _ddp_margin_nonempty_sum(n, m, binomial_table(n)) / npart
         value += _composed_correction(avg_joint, avg_margin, avg_margin, n_eff)
     return MIEstimate(value=value, estimator="ddp", m=m, n=n, miller_madow_applied=miller_madow)
 

@@ -18,13 +18,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
-from . import independence as _ind
 from . import ksample as _ks
 from .core import GroupedSample, RankedSample, ScoreKind, chunk_map
+from .independence import GridCells, PointCells
 from .ksample import PriorSpec, penalize
 
 __all__ = [
@@ -153,10 +153,8 @@ def _row_statistics(meta: NullTableMeta, arrangement: np.ndarray) -> np.ndarray:
         if meta.family == "sum":
             return _ks._sum_values(arrangement, meta.group_sizes, meta.score, meta.m_max)
         return _ks._max_values(arrangement, meta.group_sizes, meta.score, meta.m_max)
-    xr = np.arange(1, meta.n + 1)
-    if meta.family == "adp_sum":
-        return _ind._adp_values_raw(xr, arrangement, meta.n, meta.score, ms)
-    return _ind._ddp_values_raw(xr, arrangement, meta.n, meta.score, ms)
+    cells = GridCells if meta.family == "adp_sum" else PointCells
+    return cells(np.arange(1, meta.n + 1), arrangement, meta.score).contract(ms)
 
 
 def _mc_arrangement(meta: NullTableMeta, index: int) -> np.ndarray:
@@ -191,13 +189,14 @@ def _multiset_permutations(base: list[int]):
         arr[i + 1 :] = arr[i + 1 :][::-1]
 
 
-def _exact_rows(meta: NullTableMeta, count: int) -> np.ndarray:
-    rows = np.empty((count, meta.m_max - 1))
+def _exact_rows(meta: NullTableMeta, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the enumeration, in enumeration order."""
     if meta.problem == "ksample":
         arrangements = _multiset_permutations(list(_base_labels(meta)))
     else:
         arrangements = permutations(range(1, meta.n + 1))
-    for i, arr in enumerate(arrangements):
+    rows = np.empty((stop - start, meta.m_max - 1))
+    for i, arr in enumerate(islice(arrangements, start, stop)):
         rows[i] = _row_statistics(meta, np.asarray(arr, dtype=np.int64))
     return rows
 
@@ -205,19 +204,20 @@ def _exact_rows(meta: NullTableMeta, count: int) -> np.ndarray:
 def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
     """Build the table: exact enumeration when feasible, Monte Carlo otherwise.
 
-    Replicate b draws its RNG from a splittable hash of (seed, b), and rows
-    are assembled in replicate order, so the result is bit-identical for any
-    thread count (worker processes, at most one per core).  Exact mode
-    replaces B with the enumeration count.
+    Replicate b draws its RNG from a splittable hash of (seed, b); exact
+    mode replaces B with the enumeration count and row b is the b-th
+    arrangement of the enumeration.  Either way the rows are scored in
+    ordered chunks (worker processes, at most one per core) and assembled in
+    replicate order, so the result is bit-identical for any thread count.
     """
     if meta.b < 100:
         raise ValueError("B must be at least 100")
     count = exact_enumeration_count(meta)
     if count <= EXACT_LIMIT:
-        data = _exact_rows(meta, count)
-        return NullTable(meta=replace(meta, b=count, exact=True), data=data)
-    meta = replace(meta, exact=False)
-    parts = chunk_map(_mc_rows, (meta,), meta.b, threads)
+        meta, rows = replace(meta, b=count, exact=True), _exact_rows
+    else:
+        meta, rows = replace(meta, exact=False), _mc_rows
+    parts = chunk_map(rows, (meta,), meta.b, threads)
     return NullTable(meta=meta, data=np.vstack(parts))
 
 
@@ -258,7 +258,11 @@ def save_table(table: NullTable, path: str) -> None:
 
 
 def load_table(path: str) -> NullTable:
-    """Read a ``.pnt`` file; a malformed header or non-finite row raises ValueError."""
+    """Read a ``.pnt`` file.
+
+    A malformed header, a non-finite row, or an exact table whose B is not
+    the enumeration count raises ValueError.
+    """
     fields: dict[str, str] = {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -293,6 +297,11 @@ def load_table(path: str) -> NullTable:
         seed=int(fields["seed"]),
         exact=fields.get("exact", "0") == "1",
     )
+    # Exact tables exist only for enumerations of at most EXACT_LIMIT rows,
+    # so N is at most EXACT_LIMIT; checking that first spares computing N!
+    # for a header with a huge N.
+    if meta.exact and (meta.n > EXACT_LIMIT or meta.b != exact_enumeration_count(meta)):
+        raise ValueError(f"exact table holds B={meta.b} rows, not the full enumeration")
     data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite statistic in table")

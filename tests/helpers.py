@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 
 
@@ -12,3 +15,8 @@ def random_grouped_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarra
 def random_rank_pair(rng: np.random.Generator, n: int):
     """An (x, y) pair of rank permutations, x kept as the identity."""
     return np.arange(1, n + 1), rng.permutation(n) + 1
+
+
+def golden_sweep() -> dict:
+    """Recorded float.hex values of `adp_sum_all_m` and `mi_adp`, to be matched exactly."""
+    return json.loads((Path(__file__).parent / "golden_sweep.json").read_text())

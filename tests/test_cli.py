@@ -169,6 +169,19 @@ class TestTestCommand:
         assert out == ""
         assert "non-finite" in err
 
+    def test_truncated_exact_table_exits_4(self, exact_table, tmp_path, capsys):
+        lines = exact_table.read_text().split("\n")
+        assert "#B=6" in lines and "#exact=1" in lines
+        last = max(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
+        lines = [("#B=5" if ln == "#B=6" else ln) for i, ln in enumerate(lines) if i != last]
+        exact_table.write_text("\n".join(lines))
+        data = tmp_path / "d.tsv"
+        data.write_text("1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(exact_table))
+        assert code == 4
+        assert out == ""
+        assert "exact table holds B=5 rows" in err and len(err.strip().split("\n")) == 1
+
     def test_independence_table_path(self, tmp_path, capsys):
         table_path = tmp_path / "ind.pnt"
         code, _, _ = run_cli(

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from partitest.independence import _grid_m2_partition_scores
 from partitest.core import cumulative_count_grid
 from partitest.oracle import oracle_adp, oracle_ddp, oracle_hhg
 
-from helpers import random_rank_pair
+from helpers import golden_sweep, random_rank_pair
 
 
 def rank_pair(xr, yr):
@@ -74,6 +78,45 @@ class TestGridSum:
         x, y = rank_pair([1, 2, 3], [3, 1, 2])
         with pytest.raises(ValueError):
             adp_sum_all_m(x, y, "lr", m_max=4)
+
+
+def golden_layout(n, layout):
+    x = np.arange(1, n + 1)
+    if layout == "identity":
+        return x, x.copy()
+    if layout == "reversed":
+        return x, x[::-1].copy()
+    return x, np.random.default_rng(1000 + n).permutation(n) + 1
+
+
+class TestGridSweepGolden:
+    @pytest.mark.parametrize("layout", ["random", "identity", "reversed"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 30, 100])
+    @pytest.mark.parametrize("score", ["lr", "pearson"])
+    def test_values_bit_identical(self, score, n, layout):
+        x, y = golden_layout(n, layout)
+        got = [v.hex() for v in adp_sum_all_m(x, y, score).values]
+        assert got == golden_sweep()["adp_sum_all_m"][score][str(n)][layout]
+
+    def test_pearson_independent_of_blas_threads(self):
+        script = (
+            "import numpy as np, partitest as pt\n"
+            "y = np.random.default_rng(120).permutation(120) + 1\n"
+            "values = pt.adp_sum_all_m(np.arange(1, 121), y, 'pearson').values\n"
+            "print(' '.join(v.hex() for v in values))\n"
+        )
+        src = str(Path(adp_sum_all_m.__code__.co_filename).parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            outs.append(run.stdout)
+        assert len(outs[0].split()) == 9
+        assert outs[0] == outs[1]
 
 
 class TestPointAnchoredSum:

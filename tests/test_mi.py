@@ -16,7 +16,7 @@ from partitest import (
 )
 from partitest.oracle import oracle_ddp, oracle_ksample
 
-from helpers import random_grouped_labels, random_rank_pair
+from helpers import golden_sweep, random_grouped_labels, random_rank_pair
 
 
 def rank_pair(xr, yr):
@@ -117,6 +117,13 @@ class TestGridEstimator:
             mi_adp(x, RankedSample(rng.permutation(n) + 1, n, 0), m).value for _ in range(10)
         ]
         assert np.mean(vals) > 0
+
+    @pytest.mark.parametrize("miller_madow", [False, True])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_bit_identical_to_recorded_values(self, m, miller_madow):
+        x, y = rank_pair(np.arange(1, 61), np.random.default_rng(60).permutation(60) + 1)
+        got = mi_adp(x, y, m, miller_madow).value.hex()
+        assert got == golden_sweep()["mi_adp_n60"][f"m={m},miller_madow={miller_madow}"]
 
 
 class TestPointAnchoredEstimator:

@@ -247,6 +247,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="non-finite"):
             load_table(str(path))
 
+    def test_truncated_exact_table_rejected(self, tmp_path):
+        table = generate_null_table(ksample_meta(n=6, group_sizes=(3, 3)))
+        assert table.meta.exact and table.meta.b == 20
+        path = tmp_path / "t.pnt"
+        save_table(table, str(path))
+        lines = path.read_text().split("\n")
+        first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
+        lines = [("#B=15" if ln == "#B=20" else ln) for ln in lines[: first + 15]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="exact table holds B=15 rows, not the full"):
+            load_table(str(path))
+
     def test_no_partial_file_on_failure(self, tmp_path):
         table = generate_null_table(ksample_meta())
         target = tmp_path / "missing-dir" / "t.pnt"
