@@ -369,10 +369,15 @@ def _log_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _cell_index_cache(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All 1-d rank cells as (lo, hi) arrays, 1 <= lo <= hi <= n."""
+def _cell_index_cache(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 1-d rank cells as (lo, hi, bucket) arrays, 1 <= lo <= hi <= n.
+
+    A cell's bucket is its width, plus N+1 if it touches an end of 1..N: the
+    column layout of :func:`_span_weight_rows`.
+    """
     lo0, hi0 = np.triu_indices(n)
-    return _freeze(lo0 + 1), _freeze(hi0 + 1)
+    bucket = hi0 - lo0 + 1 + np.where((lo0 == 0) | (hi0 == n - 1), n + 1, 0)
+    return _freeze(lo0 + 1), _freeze(hi0 + 1), _freeze(bucket)
 
 
 @lru_cache(maxsize=64)
@@ -401,13 +406,28 @@ def _pair_index_cache(npos: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(ii), _freeze(jj)
 
 
+# Set in each worker process by _start_worker; never in the calling process.
+_worker_task = None
+
+
+def _start_worker(fn, args: tuple) -> None:
+    global _worker_task
+    _worker_task = (fn, args)
+
+
+def _run_chunk(start: int, stop: int):
+    fn, args = _worker_task
+    return fn(*args, start, stop)
+
+
 def chunk_map(fn, args: tuple, count: int, threads: int) -> list:
     """``fn(*args, start, stop)`` over ordered chunks of range(count).
 
     Results come back in chunk order, so a caller that concatenates or sums
     them gets the same answer for any thread count.  Workers are clamped to
     the core count; with one worker, or fewer than two items per worker, the
-    whole range runs in-process as a single chunk.
+    whole range runs in-process as a single chunk.  ``fn`` and ``args`` reach
+    each worker once, when it starts; chunks send only their bounds.
     """
     workers = min(int(threads), os.cpu_count() or 1)
     if workers <= 1 or count < 2 * workers:
@@ -416,5 +436,7 @@ def chunk_map(fn, args: tuple, count: int, threads: int) -> list:
 
     bounds = np.linspace(0, count, 4 * workers + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *([arg] * len(chunks) for arg in args), *zip(*chunks)))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(fn, args)
+    ) as pool:
+        return list(pool.map(_run_chunk, *zip(*chunks)))

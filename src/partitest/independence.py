@@ -372,7 +372,8 @@ def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with
     lr = score is ScoreKind.LIKELIHOOD_RATIO
     lut = _xlogx_table(n)
     loglen = _log_table(n)
-    y_of_x = np.zeros(n + 1, dtype=np.int64)
+    # -1 at the axis boundaries 0 and N+1: no cut there.
+    y_of_x = np.full(n + 2, -1, dtype=np.int64)
     x_of_y = np.zeros(n + 1, dtype=np.int64)
     y_of_x[xr] = yr
     x_of_y[yr] = xr
@@ -387,10 +388,10 @@ def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with
     for rl in range(0, n):
         row_rl = a[rl]
         row_rlm1 = a[rl - 1] if rl >= 1 else zeros_row
-        u_cut = y_of_x[rl] if rl >= 1 else 0
+        u_cut = y_of_x[rl]
         for rh in range(rl + 2, n + 2):
             width = rh - rl - 1
-            v_cut = y_of_x[rh] if rh <= n else 0
+            v_cut = y_of_x[rh]
             ok = ~((xs_by_y > rl) & (xs_by_y < rh))
             vs = np.flatnonzero(ok) + 1
             nv = vs.size
@@ -402,12 +403,9 @@ def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with
             sl = svals[ii]
             sh = svals[jj]
             keep = (sh - sl) >= 2
-            if u_cut:
-                iu = int(np.searchsorted(svals, u_cut))
-                keep &= ~((ii < iu) & (jj > iu))
-            if v_cut:
-                iv = int(np.searchsorted(svals, v_cut))
-                keep &= ~((ii < iv) & (jj > iv))
+            iu, iv = np.searchsorted(svals, (u_cut, v_cut))
+            keep &= ~((ii < iu) & (jj > iu))
+            keep &= ~((ii < iv) & (jj > iv))
             sl = sl[keep]
             sh = sh[keep]
             ii_k = ii[keep]
@@ -419,11 +417,8 @@ def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with
             pad_lo = np.concatenate(([0], outside))
             pad_hi = np.concatenate((outside, [out_tot]))
             out_cnt = pad_lo[sl] + (out_tot - pad_hi[sh])
-            k = (1 if rl >= 1 else 0) + (1 if rh <= n else 0) + (ii_k >= 1) + (jj_k <= nv)
-            if u_cut:
-                k = k - (sl == u_cut) - (sh == u_cut)
-            if v_cut:
-                k = k - (sl == v_cut) - (sh == v_cut)
+            k = int(rl >= 1) + int(rh <= n) + (ii_k >= 1) + (jj_k <= nv)
+            k = k - (sl == u_cut) - (sh == u_cut) - (sl == v_cut) - (sh == v_cut)
             length = sh - sl - 1
             buck = k * (n + 1) + out_cnt
             if lr:
@@ -584,24 +579,16 @@ def _axis_windows(uvals: np.ndarray, p: int):
     """
     nu = uvals.size
     vi = uvals[p]
-    lo = np.empty(nu, dtype=np.int64)
-    hi = np.empty(nu, dtype=np.int64)
-    lo[p] = 0
-    hi[p] = -1
-    left = p
-    for q in range(p + 1, nu):
-        d = uvals[q] - vi
-        while left > 0 and (vi - uvals[left - 1]) < d:
-            left -= 1
-        lo[q] = left
-        hi[q] = q - 1
-    right = p
-    for q in range(p - 1, -1, -1):
-        d = vi - uvals[q]
-        while right < nu - 1 and (uvals[right + 1] - vi) < d:
-            right += 1
-        lo[q] = q + 1
-        hi[q] = right
+    # Distances to the values below p (nearest first) and above it; rounding
+    # is monotone, so both computed arrays ascend.
+    left = vi - uvals[:p][::-1]
+    right = uvals[p + 1 :] - vi
+    # A target below p opens its window at q + 1, one above closes it at q - 1.
+    lo = np.arange(1, nu + 1)
+    hi = np.arange(-1, nu - 1)
+    lo[p], hi[p] = 0, -1
+    lo[p + 1 :] = p - np.searchsorted(left, right, side="left")
+    hi[:p] = p + np.searchsorted(right, left[::-1], side="left")
     return lo, hi
 
 

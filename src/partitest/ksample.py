@@ -114,69 +114,46 @@ def penalize(values, family: str, n: int, prior: PriorSpec):
     return np.max(values / partition_count(family, n, ms) + prior.log_prior_m(ms, n), axis=-1)
 
 
-def _group_cumcounts(labels_by_rank: np.ndarray, k: int) -> np.ndarray:
+def _cell_scores(labels_by_rank, group_sizes, score) -> np.ndarray:
+    """t_C for every interval cell in ``_cell_index_cache`` order; expected masses w * N_g / N."""
     n = labels_by_rank.size
-    cum = np.zeros((k, n + 1), dtype=np.int64)
-    for g in range(k):
-        np.cumsum(labels_by_rank == g + 1, out=cum[g, 1:])
-    return cum
-
-
-def _cell_scores_flat(cum, group_sizes, score, lo, hi):
-    """t_C for every interval cell [lo_i, hi_i]; expected masses use w * N_g / N."""
-    n = cum.shape[1] - 1
+    lo, hi, _ = _cell_index_cache(n)
     w = hi - lo + 1
+    xlogx = _xlogx_table(n)
+    logw = _log_table(n)
     t = np.zeros(w.shape)
-    if score is ScoreKind.PEARSON:
-        for g, ng in enumerate(group_sizes):
-            o = (cum[g, hi] - cum[g, lo - 1]).astype(float)
+    cum = np.zeros(n + 1, dtype=np.int64)
+    for g, ng in enumerate(group_sizes):
+        np.cumsum(labels_by_rank == g + 1, out=cum[1:])
+        o = cum[hi] - cum[lo - 1]
+        if score is ScoreKind.PEARSON:
             e = w * (ng / n)
             t += (o - e) ** 2 / e
-    else:
-        xlogx = _xlogx_table(n)
-        logw = _log_table(n)
-        for g, ng in enumerate(group_sizes):
-            o = cum[g, hi] - cum[g, lo - 1]
+        else:
             t += xlogx[o] - o * (logw[w] + math.log(ng / n))
     return t
 
 
 def _sum_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
     n = labels_by_rank.size
-    cum = _group_cumcounts(labels_by_rank, len(group_sizes))
-    lo, hi = _cell_index_cache(n)
-    t = _cell_scores_flat(cum, group_sizes, score, lo, hi)
-    w = hi - lo + 1
-    edge = (lo == 1) | (hi == n)
-    profile = np.concatenate(
-        (
-            np.bincount(w[~edge], weights=t[~edge], minlength=n + 1),
-            np.bincount(w[edge], weights=t[edge], minlength=n + 1),
-        )
-    )
-    rows = _span_weight_rows(n, m_max)
+    t = _cell_scores(labels_by_rank, group_sizes, score)
+    profile = np.bincount(_cell_index_cache(n)[2], weights=t, minlength=2 * (n + 1))
     # weights reach C(N-1, m-1) while cell totals stay moderate; fsum keeps the
     # per-m reductions exactly rounded.
-    return np.array([math.fsum((rows[j] * profile).tolist()) for j in range(m_max - 1)])
+    return np.array([math.fsum(r) for r in (_span_weight_rows(n, m_max) * profile).tolist()])
 
 
 def _max_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
     n = labels_by_rank.size
-    cum = _group_cumcounts(labels_by_rank, len(group_sizes))
-    lo, hi = _cell_index_cache(n)
-    t = _cell_scores_flat(cum, group_sizes, score, lo, hi)
-    tmat = np.zeros((n + 1, n + 1))
-    tmat[lo, hi] = t
-    # shifted[a, i] = t of cell (a+1 .. i); -inf blocks empty cells so the DP
+    lo, hi, _ = _cell_index_cache(n)
+    # cell[a, i] = t of cell (a+1 .. i); -inf blocks empty cells so the DP
     # only considers splits that leave every cell non-empty.
-    cols = np.arange(n + 1)
-    shifted = np.full((n + 1, n + 1), -np.inf)
-    shifted[:n, :] = np.where(cols[None, :] >= cols[:n, None] + 1, tmat[1:, :], -np.inf)
-    best = np.full(n + 1, -np.inf)
-    best[1:] = tmat[1, 1:]
+    cell = np.full((n + 1, n + 1), -np.inf)
+    cell[lo - 1, hi] = _cell_scores(labels_by_rank, group_sizes, score)
+    best = cell[0]
     out = np.empty(m_max - 1)
     for j in range(2, m_max + 1):
-        best = np.max(best[:, None] + shifted, axis=0)
+        best = np.max(best[:, None] + cell, axis=0)
         out[j - 2] = best[n]
     return out
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ksample as _ks
 from .core import (
     BinomialTable,
     GroupedSample,
@@ -24,6 +23,7 @@ from .core import (
     partition_count,
 )
 from .independence import GridCells, PointCells
+from .ksample import ksample_sum_all_m
 
 __all__ = [
     "MIEstimate",
@@ -170,10 +170,6 @@ def mi_ksample(sample: GroupedSample, m: int) -> MIEstimate:
     n = sample.n
     if not 2 <= m <= n:
         raise ValueError(f"m must lie in 2..N, got {m} for N={n}")
-    values = _ks._sum_values(
-        sample.labels_by_rank, sample.group_sizes, ScoreKind.LIKELIHOOD_RATIO, m
-    )
+    s_m = ksample_sum_all_m(sample, ScoreKind.LIKELIHOOD_RATIO, m).value(m)
     npart = partition_count("sum", n, m)
-    return MIEstimate(
-        value=float(values[m - 2]) / (n * npart), estimator="ksample", m=m, n=n
-    )
+    return MIEstimate(value=s_m / (n * npart), estimator="ksample", m=m, n=n)

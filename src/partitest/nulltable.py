@@ -1,8 +1,9 @@
 """Monte Carlo null tables, persistence, and the combined-p-value tests.
 
 A null table stores one statistic row per random reassignment of a sample of
-fixed size: a label permutation for the K-sample problem, a y-rank
-permutation for independence.  Because the statistics are rank-based, a table
+fixed size: a permutation of one label multiset over the ranks, the group
+labels for the K-sample problem and the y ranks (N singleton groups) for
+independence.  Because the statistics are rank-based, a table
 depends only on (N, group sizes, family, score) and is reusable across
 datasets; p-values are tail fractions with the +1 convention.
 
@@ -18,7 +19,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from itertools import islice, permutations
+from itertools import islice
 
 import numpy as np
 
@@ -88,14 +89,14 @@ class NullTableMeta:
             raise ValueError("seed must be non-negative")
 
 
+def _label_sizes(meta: NullTableMeta) -> tuple[int, ...]:
+    """Multiplicities of the permuted labels: the group sizes, or N ones for independence."""
+    return meta.group_sizes or (1,) * meta.n
+
+
 def exact_enumeration_count(meta: NullTableMeta) -> int:
-    """Number of distinct reassignments for this table's sampling problem."""
-    if meta.problem == "ksample":
-        count = math.factorial(meta.n)
-        for g in meta.group_sizes:
-            count //= math.factorial(g)
-        return count
-    return math.factorial(meta.n)
+    """Number of distinct reassignments for this table's sampling problem: N! / prod(g!)."""
+    return math.factorial(meta.n) // math.prod(math.factorial(g) for g in _label_sizes(meta))
 
 
 @dataclass(eq=False)
@@ -139,7 +140,9 @@ class NullTable:
 
 
 def _base_labels(meta: NullTableMeta) -> np.ndarray:
-    return np.repeat(np.arange(1, len(meta.group_sizes) + 1), meta.group_sizes)
+    """The label multiset every arrangement permutes, in ascending order."""
+    sizes = _label_sizes(meta)
+    return np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
 
 def _row_statistics(meta: NullTableMeta, arrangement: np.ndarray) -> np.ndarray:
@@ -159,16 +162,7 @@ def _row_statistics(meta: NullTableMeta, arrangement: np.ndarray) -> np.ndarray:
 
 def _mc_arrangement(meta: NullTableMeta, index: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((meta.seed, index))))
-    if meta.problem == "ksample":
-        return rng.permutation(_base_labels(meta))
-    return rng.permutation(meta.n) + 1
-
-
-def _mc_rows(meta: NullTableMeta, start: int, stop: int) -> np.ndarray:
-    rows = np.empty((stop - start, meta.m_max - 1))
-    for b in range(start, stop):
-        rows[b - start] = _row_statistics(meta, _mc_arrangement(meta, b))
-    return rows
+    return rng.permutation(_base_labels(meta))
 
 
 def _multiset_permutations(base: list[int]):
@@ -189,14 +183,14 @@ def _multiset_permutations(base: list[int]):
         arr[i + 1 :] = arr[i + 1 :][::-1]
 
 
-def _exact_rows(meta: NullTableMeta, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the enumeration, in enumeration order."""
-    if meta.problem == "ksample":
-        arrangements = _multiset_permutations(list(_base_labels(meta)))
+def _rows(meta: NullTableMeta, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1: replicates by index, or the enumeration in order when exact."""
+    if meta.exact:
+        arrangements = islice(_multiset_permutations(_base_labels(meta).tolist()), start, stop)
     else:
-        arrangements = permutations(range(1, meta.n + 1))
+        arrangements = (_mc_arrangement(meta, b) for b in range(start, stop))
     rows = np.empty((stop - start, meta.m_max - 1))
-    for i, arr in enumerate(islice(arrangements, start, stop)):
+    for i, arr in enumerate(arrangements):
         rows[i] = _row_statistics(meta, np.asarray(arr, dtype=np.int64))
     return rows
 
@@ -214,10 +208,10 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
         raise ValueError("B must be at least 100")
     count = exact_enumeration_count(meta)
     if count <= EXACT_LIMIT:
-        meta, rows = replace(meta, b=count, exact=True), _exact_rows
+        meta = replace(meta, b=count, exact=True)
     else:
-        meta, rows = replace(meta, exact=False), _mc_rows
-    parts = chunk_map(rows, (meta,), meta.b, threads)
+        meta = replace(meta, exact=False)
+    parts = chunk_map(_rows, (meta,), meta.b, threads)
     return NullTable(meta=meta, data=np.vstack(parts))
 
 

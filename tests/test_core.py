@@ -15,6 +15,7 @@ from partitest import (
     ksample_cell_score,
     rank_with_random_ties,
 )
+from partitest.core import chunk_map
 
 
 class TestRanking:
@@ -232,3 +233,30 @@ class TestRefinementMonotonicity:
             left = ksample_cell_score(cell_counts(lo, mid), (mid - lo + 1) * frac, kind)
             right = ksample_cell_score(cell_counts(mid + 1, hi), (hi - mid) * frac, kind)
             assert left + right >= whole - 1e-9
+
+
+class PickleCounter:
+    """Payload that counts how often the calling process pickles it."""
+
+    pickles = 0
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def __reduce__(self):
+        PickleCounter.pickles += 1
+        return PickleCounter, (self.payload,)
+
+
+def _chunk_sum(counter, start, stop):
+    return start, stop, sum(counter.payload[start:stop])
+
+
+class TestChunkMap:
+    def test_args_pickled_at_most_once_per_worker(self):
+        PickleCounter.pickles = 0
+        parts = chunk_map(_chunk_sum, (PickleCounter(list(range(100))),), 100, 2)
+        assert PickleCounter.pickles <= 2
+        assert parts[0][0] == 0 and parts[-1][1] == 100
+        assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+        assert sum(p[2] for p in parts) == sum(range(100))

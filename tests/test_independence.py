@@ -27,7 +27,7 @@ from partitest.independence import _grid_m2_partition_scores
 from partitest.core import cumulative_count_grid
 from partitest.oracle import oracle_adp, oracle_ddp, oracle_hhg
 
-from helpers import golden_sweep, random_rank_pair
+from helpers import golden_hhg_pair, golden_sweep, random_rank_pair
 
 
 def rank_pair(xr, yr):
@@ -304,6 +304,12 @@ class TestPairwiseClassification:
         rng = np.random.default_rng(18)
         xv, yv = rng.normal(size=15), rng.normal(size=15)
         assert hhg_univariate(xv, yv) == pytest.approx(hhg_univariate(yv, xv), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 30, 150])
+    @pytest.mark.parametrize("kind", ["untied", "tied", "ranks"])
+    def test_values_bit_identical(self, kind, n):
+        got = hhg_univariate(*golden_hhg_pair(n, kind)).hex()
+        assert got == golden_sweep()["hhg_univariate"][f"{kind},n={n}"]
 
 
 class TestMonotoneInvariance:

@@ -16,7 +16,7 @@ from partitest import (
 )
 from partitest.oracle import oracle_ksample
 
-from helpers import random_grouped_labels
+from helpers import golden_grouped, golden_sweep, random_grouped_labels
 
 
 def grouped(labels, values=None, seed=0):
@@ -245,3 +245,23 @@ class TestPenalized:
         stats = ksample_sum_all_m(grouped([1, 2, 1, 2]), "lr", m_max=3)
         with pytest.raises(ValueError):
             penalized_sum(stats, PriorSpec.ds(1.0))
+
+
+GOLDEN_ROWS = [
+    (family, score, n, k, m_max)
+    for family in ("sum", "max")
+    for score in ("lr", "pearson")
+    for n in (2, 3, 7, 50, 200)
+    for k in (2, 3)
+    if k <= n
+    for m_max in ((None, n) if n <= 50 else (None,))
+]
+
+
+class TestRowGolden:
+    @pytest.mark.parametrize("family,score,n,k,m_max", GOLDEN_ROWS)
+    def test_values_bit_identical(self, family, score, n, k, m_max):
+        fn = ksample_sum_all_m if family == "sum" else ksample_max_all_m
+        got = [v.hex() for v in fn(golden_grouped(n, k), score, m_max).values]
+        key = f"{family},{score},n={n},k={k},m_max={'default' if m_max is None else m_max}"
+        assert got == golden_sweep()["ksample_all_m"][key]
