@@ -88,25 +88,27 @@ def _read_tsv(path: str, kind: str):
     """Parse a two-column data file; kind is 'ksample' or 'independence'."""
     left, right = [], []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected two tab-separated columns")
-            try:
-                if kind == "ksample":
-                    left.append(int(parts[0]))
-                else:
-                    left.append(float(parts[0]))
-                right.append(float(parts[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected two tab-separated columns")
+        try:
+            if kind == "ksample":
+                left.append(int(parts[0]))
+            else:
+                left.append(float(parts[0]))
+            right.append(float(parts[1]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     if not left:
         raise DataError(f"{path}: no data rows")
     return np.asarray(left), np.asarray(right)
@@ -236,8 +238,11 @@ def cmd_mi(args) -> int:
     n = left.size
     if not 2 <= args.m <= n:
         raise DataError(f"m must lie in 2..N, got {args.m} for N={n}")
-    x = rank_with_random_ties(left, args.tie_seed)
-    y = rank_with_random_ties(right, args.tie_seed + 1)
+    try:
+        x = rank_with_random_ties(left, args.tie_seed)
+        y = rank_with_random_ties(right, args.tie_seed + 1)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     fn = {"adp": mi_adp, "ddp": mi_ddp, "hist": mi_histogram}[args.estimator]
     est = fn(x, y, args.m, miller_madow=args.miller_madow)
     record = {

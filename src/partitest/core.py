@@ -31,6 +31,7 @@ __all__ = [
     "ksample_cell_score",
     "binomial_table",
     "cumulative_count_grid",
+    "y_by_x",
 ]
 
 
@@ -325,28 +326,36 @@ class CumulativeCountGrid:
         return self.box_count(r_lo + 1, r_hi - 1, s_lo + 1, s_hi - 1)
 
 
-def _as_rank_array(sample, name: str) -> np.ndarray:
-    if isinstance(sample, RankedSample):
-        return sample.ranks
-    arr = np.ascontiguousarray(sample, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    _check_permutation(arr)
-    return arr
+def y_by_x(x, y) -> np.ndarray:
+    """The y rank of the point at each x rank: an independence dataset as one permutation.
+
+    ``x`` and ``y`` are :class:`RankedSample` objects or integer rank arrays,
+    each checked once as a permutation of 1..N; their lengths must match.
+    Every independence statistic reads only this arrangement and trusts it,
+    and a null-table row is one such permutation.
+    """
+    xr, yr = (s.ranks if isinstance(s, RankedSample) else RankedSample(s, np.size(s), 0).ranks
+              for s in (x, y))
+    if xr.size != yr.size:
+        raise ValueError("x and y must have equal length")
+    yx = np.empty(xr.size, dtype=np.int64)
+    yx[xr - 1] = yr
+    return yx
+
+
+def _count_grid(yx: np.ndarray) -> CumulativeCountGrid:
+    """The cumulative grid of a y-by-x arrangement, taken as valid."""
+    n = yx.size
+    a = np.zeros((n + 1, n + 1), dtype=np.int64)
+    a[np.arange(1, n + 1), yx] = 1
+    np.cumsum(a, axis=0, out=a)
+    np.cumsum(a, axis=1, out=a)
+    return CumulativeCountGrid(a=_freeze(a), n=n)
 
 
 def cumulative_count_grid(x_ranks, y_ranks) -> CumulativeCountGrid:
     """Build the (N+1) x (N+1) cumulative grid from two rank permutations."""
-    xr = _as_rank_array(x_ranks, "x_ranks")
-    yr = _as_rank_array(y_ranks, "y_ranks")
-    if xr.size != yr.size:
-        raise ValueError("rank vectors must have equal length")
-    n = xr.size
-    a = np.zeros((n + 1, n + 1), dtype=np.int64)
-    a[xr, yr] = 1
-    np.cumsum(a, axis=0, out=a)
-    np.cumsum(a, axis=1, out=a)
-    return CumulativeCountGrid(a=_freeze(a), n=n)
+    return _count_grid(y_by_x(x_ranks, y_ranks))
 
 
 # Shared lookup tables for the hot vectorized paths.  xlogx(0) := 0 keeps the

@@ -29,13 +29,14 @@ from .core import (
     RankedSample,
     ScoreKind,
     _check_m_max,
+    _count_grid,
     _freeze,
     _log_table,
     _pair_index_cache,
     _span_weight_rows,
     _xlogx_table,
     binomial_table,
-    cumulative_count_grid,
+    y_by_x,
 )
 from .ksample import PriorSpec, penalize
 
@@ -50,14 +51,6 @@ __all__ = [
 
 ADP_SUM = "adp_sum"
 DDP_SUM = "ddp_sum"
-
-
-def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray, int]:
-    xr = x.ranks if isinstance(x, RankedSample) else np.ascontiguousarray(x, dtype=np.int64)
-    yr = y.ranks if isinstance(y, RankedSample) else np.ascontiguousarray(y, dtype=np.int64)
-    if xr.size != yr.size:
-        raise ValueError("x and y must have equal length")
-    return xr, yr, xr.size
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +119,8 @@ class GridCells:
     the span sizes.  The sweep therefore totals the cell scores per
     (x class, y class, width, length); :meth:`contract` then weights those
     totals by partition counts, in O(N^2) per m.  The grid-sum statistics,
-    the ``adp_sum`` null-table rows and ``mi_adp`` all go through this class.
+    the ``adp_sum`` null-table rows and ``mi_adp`` all go through this class,
+    each with a y-by-x arrangement ``yx`` (:func:`core.y_by_x`), taken as valid.
 
     The full-width x-span sits in no partition with an x cut and is skipped.
     Per bucket the sweep keeps sum(o), a closed form over the points (the
@@ -152,12 +146,12 @@ class GridCells:
     cells, which the Miller-Madow correction of ``mi_adp`` contracts.
     """
 
-    def __init__(self, xr, yr, score: ScoreKind, nonempty: bool = False):
-        grid = cumulative_count_grid(xr, yr)
+    def __init__(self, yx, score: ScoreKind, nonempty: bool = False):
+        grid = _count_grid(yx)
         n = grid.n
         if nonempty and score is not ScoreKind.LIKELIHOOD_RATIO:
             raise ValueError("nonempty-cell counts come from the likelihood-ratio sweep")
-        q = self._count_sums(xr, yr, n)
+        q = self._count_sums(yx, n)
         z = None
         if score is ScoreKind.LIKELIHOOD_RATIO:
             p, z = self._lr_sweep(grid.a, n, nonempty)
@@ -172,11 +166,10 @@ class GridCells:
         self._nonempty = z
 
     @staticmethod
-    def _count_sums(xr, yr, n: int) -> np.ndarray:
+    def _count_sums(yx, n: int) -> np.ndarray:
         """sum(o) per bucket: over the points, spans containing x times spans containing y."""
         cover = _span_cover_counts(n)
-        y_cover = np.empty_like(cover)
-        y_cover[xr - 1] = cover[yr - 1]
+        y_cover = cover[yx - 1]
         q = np.empty((2, 2, n + 1, n + 1))
         classes = (slice(0, n + 1), slice(n + 1, 2 * n + 2))
         for xc in (0, 1):
@@ -287,11 +280,7 @@ def adp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
     every per-m value is then an O(N^2) weighted contraction, with expected
     counts width*length/N.  ``m_max`` defaults to floor(sqrt(N)).
     """
-    score = ScoreKind.parse(score)
-    xr, yr, n = _as_pair(x, y)
-    m_max = _check_m_max(m_max, "independence", n)
-    values = GridCells(xr, yr, score).contract(range(2, m_max + 1))
-    return PerMStatistics(family=ADP_SUM, score=score, values=values, n=n)
+    return _sum_all_m(ADP_SUM, x, y, score, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +294,16 @@ class PointCells:
     the number of size-m partitions containing a cell; :meth:`contract`
     weights the bucket totals per m, with the expected-count divisor
     N - m + 1 entering only there.  ``ddp_sum_all_m``, the ``ddp_sum``
-    null-table rows and ``mi_ddp`` all go through this class.  With
+    null-table rows and ``mi_ddp`` all go through this class, as for
+    :class:`GridCells` with a y-by-x arrangement ``yx``.  With
     ``nonempty`` the sweep also counts non-empty cells for the Miller-Madow
     correction of ``mi_ddp``.
     """
 
-    def __init__(self, xr, yr, score: ScoreKind, nonempty: bool = False):
-        grid = cumulative_count_grid(xr, yr)
-        self.n = grid.n
+    def __init__(self, yx, score: ScoreKind, nonempty: bool = False):
+        self.n = yx.size
         self.score = score
-        self._u, self._v, self._w, self._z = _point_cell_tables(grid, xr, yr, score, nonempty)
+        self._u, self._v, self._w, self._z = _point_cell_tables(yx, score, nonempty)
 
     def _bucket_weights(self, m: int) -> np.ndarray:
         """C(out, m-1-k) over the flat (k, out) buckets."""
@@ -352,7 +341,7 @@ class PointCells:
         return np.array([float(self._bucket_weights(m) @ self._z) for m in ms])
 
 
-def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with_nonempty: bool):
+def _point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty: bool):
     """Valid point-anchored cells bucketed by (defining points k, outer count).
 
     A candidate cell [rl, rh] x [sl, sh] (0 and N+1 stand for the axis
@@ -367,17 +356,16 @@ def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with
     o*log(o) - o*log(inner_area) and V sums o; for Pearson U sums
     o^2/inner_area, V sums o and W sums inner_area.  Z counts non-empty cells.
     """
-    a = grid.a
-    n = grid.n
+    n = yx.size
+    a = _count_grid(yx).a
     lr = score is ScoreKind.LIKELIHOOD_RATIO
     lut = _xlogx_table(n)
     loglen = _log_table(n)
     # -1 at the axis boundaries 0 and N+1: no cut there.
     y_of_x = np.full(n + 2, -1, dtype=np.int64)
-    x_of_y = np.zeros(n + 1, dtype=np.int64)
-    y_of_x[xr] = yr
-    x_of_y[yr] = xr
-    xs_by_y = x_of_y[1:]
+    y_of_x[1 : n + 1] = yx
+    xs_by_y = np.empty(n, dtype=np.int64)
+    xs_by_y[yx - 1] = np.arange(1, n + 1)
     nbuck = 5 * (n + 1)
     u_acc = np.zeros(nbuck)
     v_acc = np.zeros(nbuck)
@@ -435,6 +423,10 @@ def _point_cell_tables(grid: CumulativeCountGrid, xr, yr, score: ScoreKind, with
     return u_acc, v_acc, w_acc, z_acc
 
 
+# The cell layer of each sum family.
+SUM_CELLS = {ADP_SUM: GridCells, DDP_SUM: PointCells}
+
+
 def ddp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
     """Sum-aggregated point-anchored statistic for every m in 2..m_max.
 
@@ -442,11 +434,17 @@ def ddp_sum_all_m(x, y, score, m_max: int | None = None) -> PerMStatistics:
     outer-quadrant occupancy (O(N^4) sweep); the expected count divisor
     N - m + 1 enters only per m.  ``m_max`` defaults to floor(sqrt(N)).
     """
+    return _sum_all_m(DDP_SUM, x, y, score, m_max)
+
+
+def _sum_all_m(family: str, x, y, score, m_max: int | None) -> PerMStatistics:
+    """One sweep of the family's cell layer over the y-by-x arrangement, contracted per m."""
     score = ScoreKind.parse(score)
-    xr, yr, n = _as_pair(x, y)
+    yx = y_by_x(x, y)
+    n = yx.size
     m_max = _check_m_max(m_max, "independence", n)
-    values = PointCells(xr, yr, score).contract(range(2, m_max + 1))
-    return PerMStatistics(family=DDP_SUM, score=score, values=values, n=n)
+    values = SUM_CELLS[family](yx, score).contract(range(2, m_max + 1))
+    return PerMStatistics(family=family, score=score, values=values, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +497,19 @@ def _partition_scores_from_cuts(grid: CumulativeCountGrid, xcuts, ycuts, score: 
 def ddp_max(x, y, score, m: int) -> float:
     """Max-aggregated point-anchored statistic; only m in {2, 3, 4} is tractable."""
     score = ScoreKind.parse(score)
-    xr, yr, n = _as_pair(x, y)
+    yx = y_by_x(x, y)
+    n = yx.size
     if m not in (2, 3, 4):
         raise ValueError("exponential regime: max aggregation supports m in {2, 3, 4}")
     if n < m:
         raise ValueError("need at least m observations")
-    grid = cumulative_count_grid(xr, yr)
+    grid = _count_grid(yx)
     best = -math.inf
-    if m == 2:
-        scores = _partition_scores_from_cuts(grid, xr[:, None], yr[:, None], score, m)
-        return float(scores.max())
-    chunk = 200_000
+    # Each set of m-1 anchor points, by x position: its x cuts come sorted.
     combos = combinations(range(n), m - 1)
-    while True:
-        block_rows = list(islice(combos, chunk))
-        if not block_rows:
-            break
-        block = np.asarray(block_rows, dtype=np.int64)
-        xcuts = np.sort(xr[block], axis=1)
-        ycuts = np.sort(yr[block], axis=1)
-        scores = _partition_scores_from_cuts(grid, xcuts, ycuts, score, m)
+    while (block := np.asarray(list(islice(combos, 200_000)), dtype=np.int64)).size:
+        ycuts = np.sort(yx[block], axis=1)
+        scores = _partition_scores_from_cuts(grid, block + 1, ycuts, score, m)
         best = max(best, float(scores.max()))
     return best
 
@@ -551,10 +542,9 @@ def _grid_m2_partition_scores(grid: CumulativeCountGrid, score: ScoreKind) -> np
 def adp_max_2x2(x, y, score) -> float:
     """Max-aggregated grid statistic for m = 2 over all (N-1)^2 partitions."""
     score = ScoreKind.parse(score)
-    xr, yr, n = _as_pair(x, y)
-    if n < 2:
+    grid = _count_grid(y_by_x(x, y))
+    if grid.n < 2:
         raise ValueError("need at least two observations")
-    grid = cumulative_count_grid(xr, yr)
     return float(_grid_m2_partition_scores(grid, score).max())
 
 

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BinomialTable,
-    GroupedSample,
-    RankedSample,
-    ScoreKind,
-    binomial_table,
-    partition_count,
-)
-from .independence import GridCells, PointCells
+from .core import GroupedSample, RankedSample, ScoreKind, partition_count, y_by_x
+from .independence import SUM_CELLS
 from .ksample import ksample_sum_all_m
 
 __all__ = [
@@ -69,15 +62,31 @@ def miller_madow(plugin_mi: float, nonempty_joint: int, nonempty_x: int, nonempt
     return plugin_mi + _composed_correction(nonempty_joint, nonempty_x, nonempty_y, n)
 
 
-def _check_pair(x, y, m):
-    if not isinstance(x, RankedSample) or not isinstance(y, RankedSample):
-        raise ValueError("expected ranked samples")
-    if x.n != y.n:
-        raise ValueError("x and y must have equal length")
-    n = x.n
+def _check_m(m: int, n: int) -> None:
     if not 2 <= m <= n:
         raise ValueError(f"m must lie in 2..N, got {m} for N={n}")
-    return n
+
+
+def _partition_average(estimator: str, x, y, m: int, miller_madow: bool) -> MIEstimate:
+    """S_m / (n_eff * #partitions) of the family ``estimator``_sum, n_eff the points inside cells.
+
+    Grid strips all hold a rank; over the C(N, m-1) point-anchored cut sets
+    m * C(N-1, m-1) strips do (hockey-stick identity).  So the average number
+    of nonempty strips per axis is m * n_eff / N in both families.
+    """
+    family = f"{estimator}_sum"
+    yx = y_by_x(x, y)
+    n = yx.size
+    _check_m(m, n)
+    cells = SUM_CELLS[family](yx, ScoreKind.LIKELIHOOD_RATIO, nonempty=miller_madow)
+    npart = partition_count(family, n, m)
+    n_eff = n if family == "adp_sum" else n - m + 1
+    value = float(cells.contract([m])[0]) / (n_eff * npart)
+    if miller_madow:
+        avg_joint = float(cells.contract_nonempty([m])[0]) / npart
+        avg_margin = m * n_eff / n
+        value += _composed_correction(avg_joint, avg_margin, avg_margin, n_eff)
+    return MIEstimate(value=value, estimator=estimator, m=m, n=n, miller_madow_applied=miller_madow)
 
 
 def mi_adp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False) -> MIEstimate:
@@ -88,33 +97,7 @@ def mi_adp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False)
     its nonempty joint cells before averaging; grid margins are always the m
     column and row strips, so the marginal terms are constant.
     """
-    n = _check_pair(x, y, m)
-    cells = GridCells(x.ranks, y.ranks, ScoreKind.LIKELIHOOD_RATIO, nonempty=miller_madow)
-    s_m = float(cells.contract([m])[0])
-    npart = partition_count("adp_sum", n, m)
-    value = s_m / (n * npart)
-    if miller_madow:
-        avg_joint = float(cells.contract_nonempty([m])[0]) / npart
-        value += _composed_correction(avg_joint, m, m, n)
-    return MIEstimate(value=value, estimator="adp", m=m, n=n, miller_madow_applied=miller_madow)
-
-
-def _ddp_margin_nonempty_sum(n: int, m: int, binom: BinomialTable) -> float:
-    """Sum over point-anchored partitions of nonempty strips on one axis.
-
-    A strip is nonempty iff its interior spans at least one rank; the count
-    of partitions containing a strip depends only on the ranks it covers.
-    """
-    total = 0.0
-    for width_in in range(1, n - 1):
-        positions = n - width_in - 1
-        if positions > 0:
-            total += positions * binom.choose(n - width_in - 2, m - 3)
-    for rh in range(2, n + 1):
-        total += binom.choose(n - rh, m - 2)
-    for rl in range(1, n):
-        total += binom.choose(rl - 1, m - 2)
-    return total
+    return _partition_average("adp", x, y, m, miller_madow)
 
 
 def mi_ddp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False) -> MIEstimate:
@@ -123,17 +106,7 @@ def mi_ddp(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False)
     The likelihood-ratio sum statistic divided by (N - m + 1) * C(N, m-1);
     only the N - m + 1 points strictly inside cells carry mass.
     """
-    n = _check_pair(x, y, m)
-    cells = PointCells(x.ranks, y.ranks, ScoreKind.LIKELIHOOD_RATIO, nonempty=miller_madow)
-    s_m = float(cells.contract([m])[0])
-    npart = partition_count("ddp_sum", n, m)
-    n_eff = n - m + 1
-    value = s_m / (n_eff * npart)
-    if miller_madow:
-        avg_joint = float(cells.contract_nonempty([m])[0]) / npart
-        avg_margin = _ddp_margin_nonempty_sum(n, m, binomial_table(n)) / npart
-        value += _composed_correction(avg_joint, avg_margin, avg_margin, n_eff)
-    return MIEstimate(value=value, estimator="ddp", m=m, n=n, miller_madow_applied=miller_madow)
+    return _partition_average("ddp", x, y, m, miller_madow)
 
 
 def _equal_count_bins(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -145,9 +118,11 @@ def _equal_count_bins(ranks: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def mi_histogram(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = False) -> MIEstimate:
     """Plug-in MI of the single m x m partition with equal-count margins."""
-    n = _check_pair(x, y, m)
-    ix = _equal_count_bins(x.ranks, n, m)
-    iy = _equal_count_bins(y.ranks, n, m)
+    yx = y_by_x(x, y)
+    n = yx.size
+    _check_m(m, n)
+    ix = _equal_count_bins(np.arange(1, n + 1), n, m)
+    iy = _equal_count_bins(yx, n, m)
     counts = np.zeros((m, m), dtype=np.int64)
     np.add.at(counts, (ix, iy), 1)
     rowc = counts.sum(axis=1)
@@ -168,8 +143,7 @@ def mi_histogram(x: RankedSample, y: RankedSample, m: int, miller_madow: bool = 
 def mi_ksample(sample: GroupedSample, m: int) -> MIEstimate:
     """MI between the group label and the response: S_m / (N * C(N-1, m-1))."""
     n = sample.n
-    if not 2 <= m <= n:
-        raise ValueError(f"m must lie in 2..N, got {m} for N={n}")
+    _check_m(m, n)
     s_m = ksample_sum_all_m(sample, ScoreKind.LIKELIHOOD_RATIO, m).value(m)
     npart = partition_count("sum", n, m)
     return MIEstimate(value=s_m / (n * npart), estimator="ksample", m=m, n=n)

@@ -24,8 +24,8 @@ from itertools import islice
 import numpy as np
 
 from . import ksample as _ks
-from .core import GroupedSample, RankedSample, ScoreKind, chunk_map
-from .independence import GridCells, PointCells
+from .core import GroupedSample, ScoreKind, chunk_map, y_by_x
+from .independence import SUM_CELLS
 from .ksample import PriorSpec, penalize
 
 __all__ = [
@@ -149,15 +149,14 @@ def _row_statistics(meta: NullTableMeta, arrangement: np.ndarray) -> np.ndarray:
     """Statistic row for one reassignment; the same path scores observed data.
 
     A K-sample arrangement holds the group label of each response rank; an
-    independence arrangement holds the y rank of each x rank.
+    independence arrangement holds the y rank of each x rank (``core.y_by_x``).
     """
-    ms = range(2, meta.m_max + 1)
     if meta.problem == "ksample":
         if meta.family == "sum":
             return _ks._sum_values(arrangement, meta.group_sizes, meta.score, meta.m_max)
         return _ks._max_values(arrangement, meta.group_sizes, meta.score, meta.m_max)
-    cells = GridCells if meta.family == "adp_sum" else PointCells
-    return cells(np.arange(1, meta.n + 1), arrangement, meta.score).contract(ms)
+    cells = SUM_CELLS[meta.family](arrangement, meta.score)
+    return cells.contract(range(2, meta.m_max + 1))
 
 
 def _mc_arrangement(meta: NullTableMeta, index: int) -> np.ndarray:
@@ -314,18 +313,24 @@ def p_value(observed: float, null_column: np.ndarray) -> float:
     return (1.0 + geq) / (b + 1.0)
 
 
-def combined_statistic(per_m_pvalues, kind: str) -> float:
-    """Combine per-m p-values: ``minp`` takes the minimum, ``fisher`` -sum(log p)."""
+def combined_statistic(per_m_pvalues, kind: str) -> float | np.ndarray:
+    """Combine per-m p-values: ``minp`` takes the minimum, ``fisher`` -sum(log p).
+
+    Reduces along the last axis, so one row gives a float; the observed row
+    and the table's own rows both go through here.
+    """
     p = np.asarray(per_m_pvalues, dtype=float)
     if p.size == 0:
         raise ValueError("no p-values to combine")
     if np.any(p <= 0) or np.any(p > 1):
         raise ValueError("p-values must lie in (0, 1]")
     if kind == "minp":
-        return float(p.min())
-    if kind == "fisher":
-        return float(-np.log(p).sum())
-    raise ValueError(f"unknown combination kind: {kind!r}")
+        combined = p.min(axis=-1)
+    elif kind == "fisher":
+        combined = -np.log(p).sum(axis=-1)
+    else:
+        raise ValueError(f"unknown combination kind: {kind!r}")
+    return float(combined) if combined.ndim == 0 else combined
 
 
 def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
@@ -355,12 +360,7 @@ def combined_null_distribution(
         if prior is None:
             raise ValueError("penalized combination needs a prior")
         return np.sort(penalize(table.data, table.meta.family, table.meta.n, prior))
-    pv = _per_m_pvalue_rows(table, table.data)
-    if kind == "minp":
-        combined = pv.min(axis=1)
-    else:
-        combined = -np.log(pv).sum(axis=1)
-    return np.sort(combined)
+    return np.sort(combined_statistic(_per_m_pvalue_rows(table, table.data), kind))
 
 
 @dataclass(frozen=True)
@@ -377,23 +377,20 @@ class TestResult:
         return float(self.per_m_pvalues[m - 2])
 
 
-def _observed_arrangement(data, meta: NullTableMeta):
+def _observed_arrangement(data, meta: NullTableMeta) -> np.ndarray:
+    """The arrangement of observed data, as a table row would hold it."""
     if meta.problem == "ksample":
         if not isinstance(data, GroupedSample):
             raise ValueError("table incompatible: K-sample table needs grouped data")
         if data.n != meta.n or data.group_sizes != meta.group_sizes:
             raise ValueError("table incompatible: sample size or group sizes differ")
-        return _row_statistics(meta, data.labels_by_rank)
+        return data.labels_by_rank
     if not (isinstance(data, tuple) and len(data) == 2):
         raise ValueError("table incompatible: independence table needs an (x, y) pair")
-    x, y = data
-    if not isinstance(x, RankedSample) or not isinstance(y, RankedSample):
-        raise ValueError("table incompatible: expected ranked samples")
-    if x.n != meta.n or y.n != meta.n:
+    yx = y_by_x(*data)
+    if yx.size != meta.n:
         raise ValueError("table incompatible: sample size differs")
-    y_by_x = np.empty(meta.n, dtype=np.int64)
-    y_by_x[x.ranks - 1] = y.ranks
-    return _row_statistics(meta, y_by_x)
+    return yx
 
 
 def run_test(data, table: NullTable, kind: str = "minp", prior: PriorSpec | None = None) -> TestResult:
@@ -406,19 +403,19 @@ def run_test(data, table: NullTable, kind: str = "minp", prior: PriorSpec | None
     """
     if kind not in _COMBINE_KINDS:
         raise ValueError(f"unknown combination kind: {kind!r}")
-    observed = _observed_arrangement(data, table.meta)
+    meta = table.meta
+    observed = _row_statistics(meta, _observed_arrangement(data, meta))
     pvec = _per_m_pvalue_rows(table, observed)[0]
     null_combined = table.combined_null(kind, prior)
-    b = table.b
     if kind == "penalized":
-        stat = float(penalize(observed, table.meta.family, table.meta.n, prior))
-        extreme = b - int(np.searchsorted(null_combined, stat, side="left"))
+        stat = float(penalize(observed, meta.family, meta.n, prior))
     else:
         stat = combined_statistic(pvec, kind)
-        if kind == "minp":
-            extreme = int(np.searchsorted(null_combined, stat, side="right"))
-        else:
-            extreme = b - int(np.searchsorted(null_combined, stat, side="left"))
+    b = table.b
+    if kind == "minp":
+        extreme = int(np.searchsorted(null_combined, stat, side="right"))
+    else:
+        extreme = b - int(np.searchsorted(null_combined, stat, side="left"))
     final = (1.0 + extreme) / (b + 1.0)
     return TestResult(
         ms=tuple(int(m) for m in table.ms),

@@ -164,6 +164,9 @@ def parse_scenario_file(
     guessed.  Families: ``gauss`` (mu1, sigma1, mu2, sigma2), ``mixture2d``
     (weight1, mean1/2, cov1/2 as var_x,cov_xy,var_y), ``shape`` with
     shape in {circle, sine, line} plus ``noise`` (and ``frequency`` for sine).
+    Raises ValueError unless every value is finite, sigmas are positive,
+    ``weight1`` lies in [0, 1], means have 2 entries, covariances 3 entries
+    forming a positive-definite matrix, and ``noise`` is non-negative.
     """
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -183,29 +186,45 @@ def parse_scenario_file(
     except KeyError as exc:
         raise ValueError(f"scenario file missing required key: {exc}") from exc
 
-    def flist(key):
-        return tuple(float(tok) for tok in raw[key].split(","))
+    def flist(key, size=1):
+        values = tuple(float(tok) for tok in raw[key].split(","))
+        if len(values) != size:
+            raise ValueError(f"{key} needs {size} comma-separated values, got {len(values)}")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{key} must be finite")
+        return values
+
+    def covariance(key):
+        cov = flist(key, 3)
+        try:
+            _chol2(cov)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"{key} is not a positive-definite covariance") from exc
+        return cov
 
     if family == "gauss":
-        params = {
-            "mu": (float(raw["mu1"]), float(raw["mu2"])),
-            "sigma": (float(raw["sigma1"]), float(raw["sigma2"])),
-        }
+        params = {"mu": flist("mu1") + flist("mu2"), "sigma": flist("sigma1") + flist("sigma2")}
+        if min(params["sigma"]) <= 0.0:
+            raise ValueError("sigma1 and sigma2 must be positive")
     elif family == "mixture2d":
         params = {
-            "weight1": float(raw["weight1"]),
-            "mean1": flist("mean1"),
-            "cov1": flist("cov1"),
-            "mean2": flist("mean2"),
-            "cov2": flist("cov2"),
+            "weight1": flist("weight1")[0],
+            "mean1": flist("mean1", 2),
+            "cov1": covariance("cov1"),
+            "mean2": flist("mean2", 2),
+            "cov2": covariance("cov2"),
         }
+        if not 0.0 <= params["weight1"] <= 1.0:
+            raise ValueError("weight1 must lie in [0, 1]")
     elif family == "shape":
         shape = raw["shape"]
         if shape not in _SHAPES:
             raise ValueError(f"unknown shape {shape!r}; choose from {_SHAPES}")
-        params = {"shape_id": float(_SHAPES.index(shape)), "noise": float(raw["noise"])}
+        params = {"shape_id": float(_SHAPES.index(shape)), "noise": flist("noise")[0]}
+        if params["noise"] < 0.0:
+            raise ValueError("noise must be non-negative")
         if shape == "sine":
-            params["frequency"] = float(raw["frequency"])
+            params["frequency"] = flist("frequency")[0]
     else:
         raise ValueError(f"unknown scenario family: {family!r}")
     group_sizes = None

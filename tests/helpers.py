@@ -20,7 +20,7 @@ def random_rank_pair(rng: np.random.Generator, n: int):
 
 
 def golden_sweep() -> dict:
-    """Recorded float.hex values of the sum sweeps, `mi_adp` and `hhg_univariate`, to be matched exactly."""
+    """Recorded float.hex values of the sum and max statistics, MI, HHG and `run_test`."""
     return json.loads((Path(__file__).parent / "golden_sweep.json").read_text())
 
 
@@ -30,6 +30,12 @@ def golden_grouped(n: int, k: int) -> GroupedSample:
     base = np.repeat(np.arange(1, k + 1), sizes)
     labels = np.random.default_rng(2000 + 10 * n + k).permutation(base)
     return GroupedSample(labels, RankedSample(np.arange(1, n + 1), n, 0), tuple(sizes))
+
+
+def golden_shuffled_pair(n: int):
+    """A seeded (x, y) pair of raw rank arrays, both axes shuffled."""
+    rng = np.random.default_rng(4000 + n)
+    return rng.permutation(n) + 1, rng.permutation(n) + 1
 
 
 def golden_hhg_pair(n: int, kind: str):

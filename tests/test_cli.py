@@ -253,6 +253,29 @@ class TestMiCommand:
         assert code == 4
         assert "2..N" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_4(self, tmp_path, capsys, bad):
+        data = tmp_path / "xy.tsv"
+        data.write_text(f"0.1\t0.2\n0.3\t{bad}\n0.2\t0.4\n0.5\t0.3\n")
+        code, out, err = run_cli(capsys, "mi", "--data", str(data), "--m", "2")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "non-finite" in err
+        assert len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize("command", ["mi", "test"])
+    def test_non_utf8_data_exits_4(self, exact_table, tmp_path, capsys, command):
+        data = tmp_path / "xy.tsv"
+        data.write_bytes(b"1\t0.1\n1\t0.4\n2\t0.2\xff\xfe\n2\t0.9\n")
+        argv = ["--data", str(data), "--m", "2"] if command == "mi" else [
+            "--data", str(data), "--table", str(exact_table)
+        ]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert len(err.strip().split("\n")) == 1
+
     def test_emitted_mixture_pipes_into_mi(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -379,6 +402,18 @@ class TestSimulateCommand:
         )
         assert code_a == code_b == 0
         assert json.loads(out_a)["scenario"] == json.loads(out_b)["scenario"]
+
+    def test_non_positive_definite_covariance_exits_4(self, tmp_path, capsys):
+        params = tmp_path / "scn.txt"
+        params.write_text(
+            "name=bad\nproblem=independence\nfamily=mixture2d\nn=20\nweight1=0.5\n"
+            "mean1=0,0\ncov1=1,2,1\nmean2=1,1\ncov2=1,0,1\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        assert code == 4
+        assert out == ""
+        assert "cov1 is not a positive-definite covariance" in err
+        assert len(err.strip().split("\n")) == 1
 
     def test_table_required_without_emit(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "null-equal", "--n", "8")

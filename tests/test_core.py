@@ -15,7 +15,7 @@ from partitest import (
     ksample_cell_score,
     rank_with_random_ties,
 )
-from partitest.core import chunk_map
+from partitest.core import chunk_map, y_by_x
 
 
 class TestRanking:
@@ -161,6 +161,28 @@ class TestBinomialTable:
         for u, v in [(120, 60), (199, 77), (200, 100), (150, 3)]:
             exact = math.comb(u, v)
             assert abs(t.choose(u, v) - exact) <= 1e-12 * exact
+
+
+class TestYByX:
+    def test_y_rank_at_each_x_rank(self):
+        rng = np.random.default_rng(1)
+        x, y = rng.permutation(9) + 1, rng.permutation(9) + 1
+        yx = y_by_x(x, y)
+        assert np.array_equal(yx[x - 1], y)
+        assert np.array_equal(y_by_x(RankedSample(x, 9, 0), RankedSample(y, 9, 0)), yx)
+
+    @pytest.mark.parametrize(
+        "x,y,message",
+        [
+            ([1, 2], [1, 2, 3], "equal length"),
+            ([1, 1, 3], [1, 2, 3], "permutation"),
+            ([1, 2, 3], [0, 1, 2], "1..N"),
+            ([[1, 2]], [1, 2], "length"),
+        ],
+    )
+    def test_invalid_pairs_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            y_by_x(np.array(x), np.array(y))
 
 
 class TestCumulativeCountGrid:

@@ -27,7 +27,7 @@ from partitest.independence import _grid_m2_partition_scores
 from partitest.core import cumulative_count_grid
 from partitest.oracle import oracle_adp, oracle_ddp, oracle_hhg
 
-from helpers import golden_hhg_pair, golden_sweep, random_rank_pair
+from helpers import golden_hhg_pair, golden_shuffled_pair, golden_sweep, random_rank_pair
 
 
 def rank_pair(xr, yr):
@@ -160,6 +160,16 @@ class TestPointAnchoredSum:
             assert s_ref >= -1e-12
 
 
+class TestPointSweepGolden:
+    @pytest.mark.parametrize("layout", ["random", "identity", "reversed"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 30, 60])
+    @pytest.mark.parametrize("score", ["lr", "pearson"])
+    def test_values_bit_identical(self, score, n, layout):
+        x, y = golden_layout(n, layout)
+        got = [v.hex() for v in ddp_sum_all_m(x, y, score).values]
+        assert got == golden_sweep()["ddp_sum_all_m"][score][str(n)][layout]
+
+
 class TestInvalidCellRule:
     def test_boundary_interior_point_blocks_cell(self):
         # x-ranks 1..4 with y = (1, 3, 2, 4): the box [1,3] x [1,3] has the
@@ -220,6 +230,17 @@ class TestMaxStatistics:
             for score in ("pearson", "lr"):
                 _, m_ref = oracle_adp(x, y, score, 2)
                 assert adp_max_2x2(x, y, score) == pytest.approx(m_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("score", ["lr", "pearson"])
+    def test_values_bit_identical(self, score):
+        golden = golden_sweep()
+        for n in (4, 8, 13):
+            for m in (2, 3, 4):
+                got = ddp_max(*golden_shuffled_pair(n), score, m).hex()
+                assert got == golden["ddp_max"][f"{score},n={n},m={m}"]
+        for n in (2, 3, 7, 30):
+            got = adp_max_2x2(*golden_shuffled_pair(n), score).hex()
+            assert got == golden["adp_max_2x2"][f"{score},n={n}"]
 
     def test_adp_max_single_partition_n2(self):
         # anti-diagonal pair: counts (0,1,1,0) against expected 0.5 each

@@ -14,7 +14,7 @@ from partitest import (
     miller_madow,
     rank_with_random_ties,
 )
-from partitest.oracle import oracle_ddp, oracle_ksample
+from partitest.oracle import PartitionEnumeration, oracle_ddp, oracle_ksample
 
 from helpers import golden_sweep, random_grouped_labels, random_rank_pair
 
@@ -127,6 +127,28 @@ class TestGridEstimator:
 
 
 class TestPointAnchoredEstimator:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_nonempty_strips_closed_form(self, n):
+        # Cut ranks are any m-1 of 1..N; a strip is nonempty when it holds a rank.
+        for m in range(2, n + 1):
+            total = 0
+            for cuts in PartitionEnumeration.enumerate("ddp", n, m).partitions:
+                bounds = (0,) + tuple(c + 1 for c in cuts) + (n + 1,)
+                total += sum(hi - lo > 1 for lo, hi in zip(bounds, bounds[1:]))
+            assert total == m * math.comb(n - 1, m - 1)
+
+    @pytest.mark.parametrize("miller_madow", [False, True])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_matches_recorded_values(self, m, miller_madow):
+        x, y = rank_pair(np.arange(1, 61), np.random.default_rng(60).permutation(60) + 1)
+        got = mi_ddp(x, y, m, miller_madow).value
+        recorded = float.fromhex(golden_sweep()["mi_ddp_n60"][f"m={m},miller_madow={miller_madow}"])
+        if miller_madow:
+            # The nonempty-strip average is a closed form, not the recorded rounded loop.
+            assert got == pytest.approx(recorded, rel=1e-13, abs=0)
+        else:
+            assert got == recorded
+
     def test_small_case_equals_oracle_normalization(self):
         rng = np.random.default_rng(5)
         n, m = 6, 2

@@ -28,6 +28,8 @@ from partitest import (
 from partitest.nulltable import exact_enumeration_count
 from partitest.oracle import oracle_ddp
 
+from helpers import golden_hhg_pair, golden_sweep
+
 
 def ksample_meta(**kw):
     base = dict(
@@ -423,6 +425,30 @@ class TestRunTest:
         )
         pen = run_test(gs, table, "penalized", PriorSpec.poisson_sqrt_n())
         assert 0 < pen.final_pvalue <= 1
+
+    @pytest.mark.parametrize("kind", ["minp", "fisher", "penalized"])
+    @pytest.mark.parametrize(
+        "family,score,n",
+        [
+            ("adp_sum", "lr", 6),
+            ("ddp_sum", "pearson", 6),
+            ("adp_sum", "lr", 9),
+            ("ddp_sum", "lr", 9),
+        ],
+    )
+    def test_independence_bit_identical(self, family, score, n, kind):
+        # exact tables at N=6, Monte Carlo tables at N=9
+        table = generate_null_table(
+            indep_meta(family=family, score=score, n=n, m_max=3, b=100, seed=11)
+        )
+        prior = PriorSpec.poisson_sqrt_n() if kind == "penalized" else None
+        res = run_test(golden_hhg_pair(n, "ranks"), table, kind, prior)
+        got = {
+            "per_m_pvalues": [float(p).hex() for p in res.per_m_pvalues],
+            "combined_statistic": res.combined_statistic.hex(),
+            "final_pvalue": res.final_pvalue.hex(),
+        }
+        assert got == golden_sweep()["run_test"][f"{family},{score},n={n},{kind}"]
 
     def test_penalized_requires_prior(self):
         table = generate_null_table(ksample_meta())

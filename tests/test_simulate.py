@@ -94,6 +94,33 @@ class TestScenarioFiles:
         with pytest.raises(ValueError):
             parse_scenario_file(str(path))
 
+    @pytest.mark.parametrize(
+        "family,change,message",
+        [
+            ("mixture2d", "mean1=0", "mean1 needs 2"),
+            ("mixture2d", "cov2=1,0", "cov2 needs 3"),
+            ("mixture2d", "cov1=1,2,1", "cov1 is not a positive-definite"),
+            ("mixture2d", "weight1=1.5", "weight1 must lie in"),
+            ("gauss", "sigma2=0", "sigma1 and sigma2 must be positive"),
+            ("shape", "noise=-0.1", "noise must be non-negative"),
+            ("gauss", "mu1=nan", "mu1 must be finite"),
+            ("shape", "noise=inf", "noise must be finite"),
+        ],
+    )
+    def test_out_of_range_parameter_rejected(self, tmp_path, family, change, message):
+        valid = {
+            "mixture2d": "problem=independence\nn=20\nweight1=0.5\n"
+            "mean1=0,0\ncov1=1,0.5,1\nmean2=1,1\ncov2=1,0,1\n",
+            "gauss": "problem=ksample\nn=20\ngroups=10,10\nmu1=0\nsigma1=1\nmu2=1\nsigma2=1\n",
+            "shape": "problem=independence\nn=20\nshape=circle\nnoise=0.1\n",
+        }[family]
+        path = tmp_path / "scn.txt"
+        path.write_text(f"name=x\nfamily={family}\n{valid}")
+        parse_scenario_file(str(path))
+        path.write_text(f"name=x\nfamily={family}\n{valid}{change}\n")
+        with pytest.raises(ValueError, match=message):
+            parse_scenario_file(str(path))
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "scn.txt"
         path.write_text("name=x\nbogus line\n")
