@@ -276,8 +276,9 @@ class BinomialTable:
 def _cached_binomial(n: int) -> BinomialTable:
     t = np.zeros((n + 1, n + 1))
     t[:, 0] = 1.0
-    for u in range(1, n + 1):
-        t[u, 1 : u + 1] = t[u - 1, 1 : u + 1] + t[u - 1, 0:u]
+    with np.errstate(over="ignore"):  # beyond double range an entry is inf
+        for u in range(1, n + 1):
+            t[u, 1 : u + 1] = t[u - 1, 1 : u + 1] + t[u - 1, 0:u]
     return BinomialTable(n=n, table=_freeze(t))
 
 
@@ -406,6 +407,52 @@ def _span_weight_rows(n: int, m_max: int) -> np.ndarray:
         rows[m - 2, : n + 1] = binom.choose(n - 2 - ws, m - 3)
         rows[m - 2, n + 1 :] = binom.choose(n - 1 - ws, m - 2)
     return _freeze(rows)
+
+
+def _correctly_rounded_sums(p: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D float array, bit for bit, from a few array passes.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 2008): with sigma = 2^(k+M),
+    2^k > max|p| and 2^M >= J + 2 for J terms, q = (sigma + p) - sigma and
+    r = p - q are exact and every q is a multiple of 2^-53 sigma, so sum(q)
+    is exact in any order.  Only sum(r) rounds, by at most gamma_J * sum|r|,
+    whatever order numpy's SIMD kernels add in.  (res, e) = TwoSum(sum q,
+    sum r) gives res + e = sum(q) + fl(sum r) exactly, so res is the correctly
+    rounded total whenever e widened by twice that bound, plus the smallest
+    normal to cover underflow, stays strictly inside the half-gaps to res's
+    neighbours.  Rounding is monotone, so comparing the rounded e + bound
+    against the exact half-gap decides that exactly.
+
+    A row without that certificate — an exact or near tie, a zero or
+    near-subnormal total, a non-finite or near-overflow entry — takes
+    ``math.fsum``; where that raises (an intermediate overflow, inf - inf)
+    the row's value is nan.
+    """
+    p = np.asarray(p, dtype=float)
+    terms = p.shape[1]
+    spare = (terms + 1).bit_length()  # 2^spare >= terms + 2
+    with np.errstate(all="ignore"):
+        _, k = np.frexp(np.max(np.abs(p), axis=1, initial=0.0))
+        sigma = np.ldexp(1.0, k + spare)[:, None]
+        q = (sigma + p) - sigma
+        r = p - q
+        tau1 = q.sum(axis=1)
+        tau2 = r.sum(axis=1)
+        res = tau1 + tau2
+        z = res - tau1
+        e = (tau1 - (res - z)) + (tau2 - z)
+        bound = (2.0 * terms * 2.0**-53) * np.abs(r).sum(axis=1) + np.finfo(float).tiny
+        half_up = (np.nextafter(res, np.inf) - res) * 0.5
+        half_down = (res - np.nextafter(res, -np.inf)) * 0.5
+        certified = (e + bound < half_up) & (bound - e < half_down)
+        certified &= np.isfinite(half_up + half_down)
+    for i in np.flatnonzero(~certified):
+        try:
+            res[i] = math.fsum(p[i].tolist())
+        except (OverflowError, ValueError):
+            res[i] = np.nan
+    return res
 
 
 @lru_cache(maxsize=1024)

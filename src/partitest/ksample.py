@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +24,8 @@ from .core import (
     ScoreKind,
     _cell_index_cache,
     _check_m_max,
+    _correctly_rounded_sums,
+    _freeze,
     _log_table,
     _span_weight_rows,
     _xlogx_table,
@@ -114,23 +117,50 @@ def penalize(values, family: str, n: int, prior: PriorSpec):
     return np.max(values / partition_count(family, n, ms) + prior.log_prior_m(ms, n), axis=-1)
 
 
-def _cell_scores(labels_by_rank, group_sizes, score) -> np.ndarray:
-    """t_C for every interval cell in ``_cell_index_cache`` order; expected masses w * N_g / N."""
-    n = labels_by_rank.size
+@lru_cache(maxsize=8)
+def _cell_tables(n: int, group_sizes: tuple[int, ...], score: ScoreKind):
+    """Per-shape constants of the cell pass: (lo - 1, hi, row, row + width, tables).
+
+    ``tables[g]`` holds group g's cell term for every width w and count o,
+    flattened at (w - 1) * (N + 1) + o, and ``row`` is (w - 1) * (N + 1) for
+    each cell.  A term is (o - e)^2 / e for Pearson and o log o - o (log w +
+    log(N_g / N)) for LR, with expected mass e = w * N_g / N: the same float
+    expressions per cell as scoring each cell directly, so the same bits.
+    """
     lo, hi, _ = _cell_index_cache(n)
-    w = hi - lo + 1
-    xlogx = _xlogx_table(n)
-    logw = _log_table(n)
-    t = np.zeros(w.shape)
+    row = (hi - lo) * (n + 1)
+    w = np.arange(1, n + 1)[:, None]
+    o = np.arange(n + 1)
+    if score is ScoreKind.PEARSON:
+        tables = [(o - e) ** 2 / e for e in (w * (ng / n) for ng in group_sizes)]
+    else:
+        xlogx, logw = _xlogx_table(n), _log_table(n)[w]
+        tables = [xlogx - o * (logw + math.log(ng / n)) for ng in group_sizes]
+    return (
+        _freeze(lo - 1), hi, _freeze(row), _freeze(row + hi - lo + 1),
+        tuple(_freeze(t.ravel()) for t in tables),
+    )
+
+
+def _cell_scores(labels_by_rank, group_sizes, score) -> np.ndarray:
+    """t_C for every interval cell in ``_cell_index_cache`` order; expected masses w * N_g / N.
+
+    Group terms are added in group order.  No term is -0.0, so starting from
+    the first term gives the bits of starting from 0.0.  The last group's
+    counts are the width minus the other groups' counts.
+    """
+    n = labels_by_rank.size
+    before, hi, row, row_end, tables = _cell_tables(n, group_sizes, score)
     cum = np.zeros(n + 1, dtype=np.int64)
-    for g, ng in enumerate(group_sizes):
+    for g, table in enumerate(tables[:-1]):
         np.cumsum(labels_by_rank == g + 1, out=cum[1:])
-        o = cum[hi] - cum[lo - 1]
-        if score is ScoreKind.PEARSON:
-            e = w * (ng / n)
-            t += (o - e) ** 2 / e
+        o = cum[hi] - cum[before]
+        if g == 0:
+            t, taken = table[row + o], o
         else:
-            t += xlogx[o] - o * (logw[w] + math.log(ng / n))
+            t += table[row + o]
+            taken += o
+    t += tables[-1][row_end - taken]
     return t
 
 
@@ -138,9 +168,18 @@ def _sum_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
     n = labels_by_rank.size
     t = _cell_scores(labels_by_rank, group_sizes, score)
     profile = np.bincount(_cell_index_cache(n)[2], weights=t, minlength=2 * (n + 1))
-    # weights reach C(N-1, m-1) while cell totals stay moderate; fsum keeps the
-    # per-m reductions exactly rounded.
-    return np.array([math.fsum(r) for r in (_span_weight_rows(n, m_max) * profile).tolist()])
+    # Weights reach C(N-1, m-1) while cell totals stay moderate; a correctly
+    # rounded sum per m keeps the values independent of summation order.  Past
+    # double range a product is inf or nan, and so is its sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _correctly_rounded_sums(_span_weight_rows(n, m_max) * profile)
+    overflow = ~np.isfinite(values)
+    if overflow.any():
+        m = int(np.argmax(overflow)) + 2
+        raise ValueError(
+            f"sum statistic overflows double precision from m={m} at N={n}; use m_max <= {m - 1}"
+        )
+    return values
 
 
 def _max_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:

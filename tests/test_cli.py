@@ -109,6 +109,17 @@ class TestNulltableCommand:
         )
         assert code == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_exits_1(self, tmp_path, capsys):
+        out_path = tmp_path / "t.pnt"
+        code, out, err = run_cli(
+            capsys, "nulltable", "--problem", "ksample", "--groups", "550,550", "--B", "100",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert "overflows double precision from m=" in err and len(err.strip().split("\n")) == 1
+
 
 class TestTestCommand:
     def test_exact_pvalue_matches_library(self, exact_table, tmp_path, capsys):
@@ -181,6 +192,23 @@ class TestTestCommand:
         assert code == 4
         assert out == ""
         assert "exact table holds B=5 rows" in err and len(err.strip().split("\n")) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_observed_sum_exits_4(self, tmp_path, capsys):
+        from partitest import NullTable, NullTableMeta, save_table
+
+        meta = NullTableMeta(
+            problem="ksample", family="sum", score="lr", n=1100, group_sizes=(550, 550),
+            m_max=400, b=100, seed=0,
+        )
+        table = tmp_path / "t.pnt"
+        save_table(NullTable(meta=meta, data=np.ones((100, 399))), str(table))
+        data = tmp_path / "d.tsv"
+        data.write_text("".join(f"{1 + i % 2}\t{i}\n" for i in range(1100)))
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
+        assert code == 4
+        assert out == ""
+        assert "overflows double precision from m=382" in err and len(err.strip().split("\n")) == 1
 
     def test_independence_table_path(self, tmp_path, capsys):
         table_path = tmp_path / "ind.pnt"

@@ -15,7 +15,7 @@ from partitest import (
     ksample_cell_score,
     rank_with_random_ties,
 )
-from partitest.core import chunk_map, y_by_x
+from partitest.core import _correctly_rounded_sums, chunk_map, y_by_x
 
 
 class TestRanking:
@@ -255,6 +255,92 @@ class TestRefinementMonotonicity:
             left = ksample_cell_score(cell_counts(lo, mid), (mid - lo + 1) * frac, kind)
             right = ksample_cell_score(cell_counts(mid + 1, hi), (hi - mid) * frac, kind)
             assert left + right >= whole - 1e-9
+
+
+def assert_fsum_bits(rows):
+    """Every row sum equals math.fsum of the row, bit for bit."""
+    p = np.array(rows, dtype=float)
+    got = _correctly_rounded_sums(p)
+    assert [v.hex() for v in got.tolist()] == [math.fsum(r).hex() for r in p.tolist()]
+
+
+# m * 2^e over the whole exponent range of the sums checked here
+wide_terms = st.builds(
+    math.ldexp, st.floats(-1.0, 1.0, allow_nan=False), st.integers(-1000, 1000)
+)
+
+
+@st.composite
+def cancelling_rows(draw):
+    """Rows whose terms, from a narrow or a wide exponent window, are partly
+    cancelled by negated copies of themselves."""
+    width = draw(st.integers(1, 20))
+    low = draw(st.integers(-1000, 1000))
+    high = draw(st.sampled_from([min(low + 3, 1000), 1000]))
+    terms = st.builds(math.ldexp, st.floats(-1.0, 1.0, allow_nan=False), st.integers(low, high))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.lists(terms, min_size=width, max_size=width))
+        kept = draw(st.integers(0, width))
+        rows.append(row + [-t for t in row[kept:]] + [0.0] * kept)
+    return rows
+
+
+@st.composite
+def signed_zero_rows(draw):
+    """Rows of +0.0 and -0.0 mixed with wide terms; some rows hold only zeros."""
+    width = draw(st.integers(1, 16))
+    zero = st.sampled_from([0.0, -0.0])
+    cell = st.one_of(zero, zero, wide_terms)
+    return [
+        draw(st.lists(draw(st.sampled_from([zero, cell])), min_size=width, max_size=width))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@st.composite
+def halfway_rows(draw):
+    """big + half an ulp of big, with or without a tiny tail that breaks the tie."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        big = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), draw(st.integers(-960, 960)))
+        big *= draw(st.sampled_from([1.0, -1.0]))
+        half = math.ulp(big) / 2 * draw(st.sampled_from([1.0, -1.0]))
+        tail = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ulp(big) * 2.0**-40
+        row = [big, half, tail] + [0.0] * draw(st.integers(0, 5))
+        rows.append(draw(st.permutations(row)))
+    width = max(len(r) for r in rows)
+    return [list(r) + [0.0] * (width - len(r)) for r in rows]
+
+
+class TestCorrectlyRoundedSums:
+    @settings(max_examples=150, deadline=None)
+    @given(cancelling_rows())
+    def test_heavy_cancellation(self, rows):
+        assert_fsum_bits(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_zero_rows())
+    def test_signed_zeros(self, rows):
+        assert_fsum_bits(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(halfway_rows())
+    def test_halfway_rows(self, rows):
+        assert_fsum_bits(rows)
+
+    def test_halfway_row_takes_fsum(self, monkeypatch):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(xs) or fsum(xs))
+        rows = [[2.0**53, 1.0], [2.0**53, 2.0]]
+        got = _correctly_rounded_sums(np.array(rows))
+        assert calls == [[2.0**53, 1.0]]  # an exact tie; the second row is certified
+        assert got.tolist() == [2.0**53, 2.0**53 + 2.0]
+
+    def test_overflow_is_nan(self):
+        got = _correctly_rounded_sums(np.array([[1e308, 1e308], [np.inf, -np.inf], [1.0, 2.0]]))
+        assert np.isnan(got[:2]).all() and got[2] == 3.0
 
 
 class PickleCounter:

@@ -67,6 +67,14 @@ class TestSumStatistic:
         with pytest.raises(ValueError):
             ksample_sum_all_m(grouped([1, 2, 1, 2]), "lr", m_max=1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_first_m(self):
+        # partition counts C(N-1, m-1) leave double range near m = 380 at N = 1100
+        gs = grouped([1, 2] * 550)
+        with pytest.raises(ValueError, match="overflows double precision from m=382 at N=1100"):
+            ksample_sum_all_m(gs, "lr")
+        assert np.isfinite(ksample_sum_all_m(gs, "lr", m_max=381).values).all()
+
 
 class TestMaxStatistic:
     def test_perfect_split(self):

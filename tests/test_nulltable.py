@@ -277,7 +277,8 @@ def golden_meta(**kw):
 
 # SHA-256 of save_table output, recorded when the format and statistics were
 # fixed; any change to row scoring, row order or number formatting shows here.
-GOLDEN_TABLES = [
+# The last three are the shapes perfbench's ksample workloads build.
+KSAMPLE_GOLDEN_TABLES = [
     (
         golden_meta(problem="ksample", family="sum", n=6, group_sizes=(3, 3), m_max=4),
         "bde6fee898b4b8b820fa16baecae6b5fe96c1972e1a7bec391e0e1694f32381b",
@@ -292,6 +293,28 @@ GOLDEN_TABLES = [
         golden_meta(problem="ksample", family="sum", n=20, group_sizes=(10, 10), m_max=6, b=120),
         "da33ea95739a2ded1510c53debbccfd79b160f44e3ee408955c11c3471fce19e",
     ),
+    (
+        golden_meta(
+            problem="ksample", family="sum", n=200, group_sizes=(100, 100), m_max=29, b=250
+        ),
+        "af2501d2d2bb9ed166dbf3b87d2bebdf13679df70c80929535ac4d3de96db278",
+    ),
+    (
+        golden_meta(
+            problem="ksample", family="max", n=100, group_sizes=(40, 30, 30), m_max=29, b=250
+        ),
+        "b13feb478fcce8b57bc42c9300351101f0b3157746f8a22affcff81fec8f5afd",
+    ),
+    (
+        golden_meta(
+            problem="ksample", family="sum", n=100, group_sizes=(40, 30, 30), m_max=50, b=250,
+            score="pearson",
+        ),
+        "e0a8fbbe40bcf0091b04aac12353336dc1d6df77b8e5568c5bfaa85001697efe",
+    ),
+]
+
+INDEPENDENCE_GOLDEN_TABLES = [
     (
         golden_meta(problem="independence", family="adp_sum", n=6, m_max=3),
         "c5b98e0701c4cc7ece27109d7ac363b2484c4ffbf09df291eec98411ecae58ed",
@@ -308,6 +331,15 @@ GOLDEN_TABLES = [
         golden_meta(problem="independence", family="ddp_sum", n=9, m_max=3),
         "1f1ed327a981d07ccbe746402b1b1909afbb30c173187f43ca100be51a3ce00c",
     ),
+]
+
+# Each case is marked with its problem, so `-m ksample` selects the K-sample
+# digests; the order keeps the parameter ids of the first seven cases.
+GOLDEN_TABLES = [
+    pytest.param(meta, digest, marks=getattr(pytest.mark, meta.problem))
+    for meta, digest in (
+        KSAMPLE_GOLDEN_TABLES[:3] + INDEPENDENCE_GOLDEN_TABLES + KSAMPLE_GOLDEN_TABLES[3:]
+    )
 ]
 
 
