@@ -455,9 +455,13 @@ def _correctly_rounded_sums(p: np.ndarray) -> np.ndarray:
     return res
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=32)
 def _pair_index_cache(npos: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly increasing index pairs (i < j) over npos positions."""
+    """Strictly increasing index pairs (i < j) over npos positions, in lexicographic order.
+
+    The pairs over the last s positions are the last s(s-1)/2 entries, so one
+    triangle serves every smaller one by a shift.
+    """
     ii, jj = np.triu_indices(npos, k=1)
     return _freeze(ii), _freeze(jj)
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     CumulativeCountGrid,
@@ -90,13 +91,6 @@ def _lag_sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _pair_class_keys(n: int) -> np.ndarray:
-    """yc * (N+1) + length for every y-span (c, d) in pair-cache order."""
-    cc, dd = _pair_index_cache(n + 1)
-    return _freeze(np.where((cc == 0) | (dd == n), n + 1, 0) + (dd - cc))
-
-
-@lru_cache(maxsize=32)
 def _pearson_size_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Non-empty sizes, max(width * length, 1), and the summed expected counts."""
     ws = np.arange(n + 1, dtype=float)
@@ -137,13 +131,18 @@ class GridCells:
       N^3), below 2^53 for any N up to 6800.  So the floating-point products
       and sums are exact, and the result does not depend on the summation
       order, BLAS blocking or the BLAS thread count.
-    - Likelihood ratio (o log o): a loop over x-spans, each scoring its
-      y-spans with one bincount over the key y class * (N+1) + length.
-      Every (x-span, y class, length) total adds the same terms in the same
-      order as the plain per-cell loop, and x-spans are added in order.
+    - Likelihood ratio (o log o): these float sums keep the order of a plain
+      per-cell loop, so the totals have its bits.  For each width w the
+      sweep runs over the lower y cut c, vectorised over the y length and
+      the x-span; every (x-span, y class, length) total adds its cells in
+      ascending c (an edge length: (0, l] first, then (N-l, N]).  The
+      x-spans are then added in loop order: lo = 0 then lo = N-w for the
+      edge class, lo = 1..N-1-w one after another for the internal class.
 
     With ``nonempty`` the likelihood-ratio sweep also counts non-empty
-    cells, which the Miller-Madow correction of ``mi_adp`` contracts.
+    cells, which the Miller-Madow correction of ``mi_adp`` contracts.  Those
+    counts are integers, exact in any order: per width, all cells less the
+    empty ones, counted from the free runs between a span's y ranks.
     """
 
     def __init__(self, yx, score: ScoreKind, nonempty: bool = False):
@@ -154,7 +153,9 @@ class GridCells:
         q = self._count_sums(yx, n)
         z = None
         if score is ScoreKind.LIKELIHOOD_RATIO:
-            p, z = self._lr_sweep(grid.a, n, nonempty)
+            p = self._lr_sweep(grid.a, n)
+            if nonempty:
+                z = self._nonempty_counts(yx, grid.a, n)
             lg = _log_table(n)
             q *= lg[:, None] + lg[None, :] - math.log(n)
             # Written into q so the totals are C-contiguous, as the contraction's
@@ -179,26 +180,65 @@ class GridCells:
         return q
 
     @staticmethod
-    def _lr_sweep(a: np.ndarray, n: int, nonempty: bool):
-        """sum(o log o), and the non-empty cell count if asked, per bucket."""
+    def _lr_sweep(a: np.ndarray, n: int) -> np.ndarray:
+        """sum(o log o) per bucket, every float sum in the order of a per-cell loop."""
         lut = _xlogx_table(n)
-        cc, dd = _pair_index_cache(n + 1)
-        keys = _pair_class_keys(n)
-        nk = 2 * (n + 1)
-        # p is accumulated as [x class, width, y class, length] and returned as
-        # a view in bucket order; z, contracted as is, is kept in bucket order.
-        p = np.zeros((2, n + 1, nk))
-        z = np.zeros((2, 2, n + 1, n + 1)) if nonempty else None
-        for lo in range(n):
-            row_lo = a[lo]
-            for hi in range(lo + 1, n + (lo > 0)):
-                xc = 0 if (lo >= 1 and hi <= n - 1) else 1
-                diff = a[hi] - row_lo
-                o = diff[dd] - diff[cc]
-                p[xc, hi - lo] += np.bincount(keys, weights=lut[o], minlength=nk)
-                if nonempty:
-                    z[xc, :, hi - lo] += np.bincount(keys[o > 0], minlength=nk).reshape(2, n + 1)
-        return p.reshape(2, n + 1, 2, n + 1).transpose(0, 2, 1, 3), z
+        p = np.zeros((2, 2, n + 1, n + 1))
+        lens = np.arange(1, n)
+        for w in range(1, n):
+            # d[c, lo]: the y cumulative count at cut c of the x-span (lo, lo+w].
+            d = np.ascontiguousarray((a[w:] - a[: n + 1 - w]).T)
+            # Internal y-spans (c, c+l], 1 <= c <= N-1-l, as [length - 1, lo],
+            # each total summed in ascending c.
+            inner = np.zeros((n - 2, n + 1 - w))
+            for c in range(1, n - 1):
+                inner[: n - 1 - c] += lut[d[c + 1 : n] - d[c]]
+            # Edge y-spans: (0, l] for l = 1..N, then (N-l, N] for l = 1..N-1.
+            edge = lut[d[1:] - d[0]]
+            edge[: n - 1] += lut[d[n] - d[n - lens]]
+            # x-spans in loop order: the edge spans lo = 0, then lo = N-w; the
+            # internal spans lo = 1..N-1-w, added one after another.
+            for yc, t in ((0, inner), (1, edge)):
+                ls = slice(1, 1 + t.shape[0])
+                p[1, yc, w, ls] = t[:, 0] + t[:, n - w]
+                if n - 1 - w >= 1:
+                    p[0, yc, w, ls] = np.cumsum(t[:, 1 : n - w], axis=1)[:, -1]
+        return p
+
+    @staticmethod
+    def _nonempty_counts(yx: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+        """Non-empty cells per bucket: all cells less the empty ones, in O(N^3 log N).
+
+        In an x-span, the y-span (c, c+l] is empty iff l is at most the free
+        run above c: the ranks above c and below the span's next y rank.  So
+        per x-width the empty cells of length l are the cuts whose free run
+        is at least l, a histogram of free runs summed from the top.
+        """
+        z = np.zeros((2, 2, n + 1, n + 1))
+        ls = np.arange(1, n + 1)
+        # y-spans of each class and length l = 1..N.
+        y_spans = np.array([np.maximum(n - 1 - ls, 0), np.where(ls < n, 2, 1)])
+        cuts = np.arange(1, n - 1)[:, None]  # the lower cuts of internal y-spans
+        for w in range(1, n):
+            nlo = n + 1 - w
+            lo = np.arange(nlo)
+            d = (a[w:] - a[:nlo]).T
+            # ys[lo]: the sorted y ranks of the x-span (lo, lo+w], then N+1.
+            ys = np.full((nlo, w + 1), n + 1)
+            ys[:, :w] = np.sort(sliding_window_view(yx, w), axis=1)
+            # Keys x class * (N+1) + free run; internal y-spans end by rank N-1.
+            xkey = np.where((lo >= 1) & (lo <= n - 1 - w), 0, n + 1)
+            above = ys[lo, d[1 : n - 1]]
+            runs = (
+                xkey + np.minimum(above - cuts - 1, n - 1 - cuts),
+                np.concatenate((xkey + ys[:, 0] - 1, xkey + n - ys[:, w - 1])),
+            )
+            x_spans = np.array([[n - 1 - w], [2]])
+            for yc, run in enumerate(runs):
+                hist = np.bincount(run.ravel(), minlength=2 * (n + 1)).reshape(2, n + 1)
+                empty = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
+                z[:, yc, w, 1:] = x_spans * y_spans[yc] - empty[:, 1:]
+        return z
 
     @staticmethod
     def _square_sweep(a: np.ndarray, n: int) -> np.ndarray:
@@ -350,11 +390,22 @@ def _point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty: bool):
     extent; k is the number of distinct such points (coincidences are corner
     points) and the cell then belongs to C(out, m-1-k) partitions of size m,
     where out counts the sample points strictly inside the four outer corner
-    quadrants.  Cells with empty interior contribute nothing and are skipped.
+    quadrants.
+
+    For each x extent (rl, rh) the y bounds are the y ranks of the points
+    outside it, plus 0 and N+1, and a pair of them is valid iff no y cut of
+    rl or rh lies strictly between: the pairs of three triangles of bound
+    positions, split at the two cuts.  Only those pairs are enumerated, in
+    lexicographic order, and each integer term of a cell (bucket, count o,
+    y length) is the hi-bound part less the lo-bound part.
 
     Returns flat (5*(N+1),) buckets: for the likelihood ratio U sums
     o*log(o) - o*log(inner_area) and V sums o; for Pearson U sums
     o^2/inner_area, V sums o and W sums inner_area.  Z counts non-empty cells.
+    U is summed in the order of a per-cell loop: one bincount per (rl, rh),
+    in (rl, rh) order, over cells in lexicographic order.  V, W and Z are
+    sums of integers, exact in any order.  Cells with empty interior (y
+    length 0) are enumerated too; they add exact zeros.
     """
     n = yx.size
     a = _count_grid(yx).a
@@ -364,62 +415,78 @@ def _point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty: bool):
     # -1 at the axis boundaries 0 and N+1: no cut there.
     y_of_x = np.full(n + 2, -1, dtype=np.int64)
     y_of_x[1 : n + 1] = yx
-    xs_by_y = np.empty(n, dtype=np.int64)
-    xs_by_y[yx - 1] = np.arange(1, n + 1)
     nbuck = 5 * (n + 1)
     u_acc = np.zeros(nbuck)
     v_acc = np.zeros(nbuck)
     w_acc = np.zeros(nbuck) if not lr else None
     z_acc = np.zeros(nbuck) if with_nonempty else None
-    a_last = a[n]
-    zeros_row = np.zeros(n + 1, dtype=np.int64)
-    for rl in range(0, n):
-        row_rl = a[rl]
-        row_rlm1 = a[rl - 1] if rl >= 1 else zeros_row
+    npos = n + 2
+    # The triangle of s positions is the last s(s-1)/2 pairs of this one,
+    # shifted down by npos - s.
+    tri_i, tri_j = _pair_index_cache(npos)
+    ntri = tri_i.size
+    ys = np.arange(npos)
+    for rl in range(n):
         u_cut = y_of_x[rl]
-        for rh in range(rl + 2, n + 2):
+        rhs = np.arange(rl + 2, n + 2)
+        v_cuts = y_of_x[rhs]
+        # outside[rh, s]: the points with x < rl or x > rh and y <= s.
+        outside = a[n] - a[np.minimum(rhs, n)]
+        if rl >= 1:
+            outside += a[rl - 1]
+        out_tot = outside[:, n:]
+        at_cut = (ys == u_cut).astype(np.int64) + (ys == v_cuts[:, None])
+        k_base = int(rl >= 1) + (rhs <= n)[:, None]
+        # A cell's bucket is k * (N+1) + its outer count.  k counts rl and rh
+        # inside the axis, a lower y bound s >= 1 and an upper one s <= N,
+        # less the bounds that are the y ranks of rl or rh; the outer count
+        # is the outside points below the lower bound and above the upper.
+        # Per rh and y bound s: the (bucket, count, length) part of a cell
+        # bounded below by s (negated) and of one bounded above by s.
+        lo_end = np.zeros((rhs.size, 3, npos), dtype=np.int64)
+        hi_end = np.zeros((rhs.size, 3, npos), dtype=np.int64)
+        lo_end[:, 0] = -(n + 1) * (k_base + (ys >= 1) - at_cut)
+        lo_end[:, 0, 1:] -= outside
+        hi_end[:, 0, : n + 1] = out_tot - outside
+        hi_end[:, 0] += (n + 1) * ((ys <= n) - at_cut)
+        diff = a[rhs - 1] - a[rl]
+        lo_end[:, 1, : n + 1] = diff
+        hi_end[:, 1, 1:] = diff
+        lo_end[:, 2] = ys
+        hi_end[:, 2] = ys - 1
+        # The y bounds of (rl, rh): the y ranks of points with x outside it.
+        bound = np.ones(npos, dtype=bool)
+        for r, rh in enumerate(rhs):
+            bound[y_of_x[rh - 1]] = False
+            svals = np.flatnonzero(bound)
+            nv = svals.size - 2
+            c1, c2 = sorted(int(i) for i in np.searchsorted(svals, (u_cut, v_cuts[r])))
+            blocks = ((0, c1), (c1, c2), (c2, nv + 1))
+            tris = [(hi, (hi - lo) * (hi - lo + 1) // 2) for lo, hi in blocks]
+            ii = np.empty(sum(cnt for _, cnt in tris), dtype=np.int64)
+            jj = np.empty(ii.size, dtype=np.int64)
+            pos = 0
+            for hi, cnt in tris:
+                if cnt:
+                    np.add(tri_i[ntri - cnt :], hi + 1 - npos, out=ii[pos : pos + cnt])
+                    np.add(tri_j[ntri - cnt :], hi + 1 - npos, out=jj[pos : pos + cnt])
+                    pos += cnt
+            cell = np.take(np.take(hi_end[r], svals, axis=1), jj, axis=1)
+            cell -= np.take(np.take(lo_end[r], svals, axis=1), ii, axis=1)
+            buck, o, length = cell
             width = rh - rl - 1
-            v_cut = y_of_x[rh]
-            ok = ~((xs_by_y > rl) & (xs_by_y < rh))
-            vs = np.flatnonzero(ok) + 1
-            nv = vs.size
-            svals = np.empty(nv + 2, dtype=np.int64)
-            svals[0] = 0
-            svals[1 : nv + 1] = vs
-            svals[nv + 1] = n + 1
-            ii, jj = _pair_index_cache(nv + 2)
-            sl = svals[ii]
-            sh = svals[jj]
-            keep = (sh - sl) >= 2
-            iu, iv = np.searchsorted(svals, (u_cut, v_cut))
-            keep &= ~((ii < iu) & (jj > iu))
-            keep &= ~((ii < iv) & (jj > iv))
-            sl = sl[keep]
-            sh = sh[keep]
-            ii_k = ii[keep]
-            jj_k = jj[keep]
-            diff = a[rh - 1] - row_rl
-            o = diff[sh - 1] - diff[sl]
-            outside = row_rlm1 + a_last - a[min(rh, n)]
-            out_tot = int(outside[n])
-            pad_lo = np.concatenate(([0], outside))
-            pad_hi = np.concatenate((outside, [out_tot]))
-            out_cnt = pad_lo[sl] + (out_tot - pad_hi[sh])
-            k = int(rl >= 1) + int(rh <= n) + (ii_k >= 1) + (jj_k <= nv)
-            k = k - (sl == u_cut) - (sh == u_cut) - (sl == v_cut) - (sh == v_cut)
-            length = sh - sl - 1
-            buck = k * (n + 1) + out_cnt
             if lr:
                 val = lut[o] - o * (loglen[width] + loglen[length])
                 u_acc += np.bincount(buck, weights=val, minlength=nbuck)
                 v_acc += np.bincount(buck, weights=o, minlength=nbuck)
             else:
                 area = (width * length).astype(float)
-                u_acc += np.bincount(buck, weights=o * o / area, minlength=nbuck)
+                ratio = np.divide(o * o, area, out=np.zeros(area.size), where=length > 0)
+                u_acc += np.bincount(buck, weights=ratio, minlength=nbuck)
                 v_acc += np.bincount(buck, weights=o, minlength=nbuck)
                 w_acc += np.bincount(buck, weights=area, minlength=nbuck)
             if with_nonempty:
-                z_acc += np.bincount(buck, weights=(o > 0).astype(float), minlength=nbuck)
+                z_acc += np.bincount(buck, weights=o > 0, minlength=nbuck)
     return u_acc, v_acc, w_acc, z_acc
 
 

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 
-from partitest import GroupedSample, RankedSample, rank_with_random_ties
+from partitest import GroupedSample, RankedSample, ScoreKind, rank_with_random_ties
+from partitest.core import _count_grid, _log_table, _xlogx_table
 
 
 def random_grouped_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -49,3 +50,100 @@ def golden_hhg_pair(n: int, kind: str):
     if kind == "ranks":
         return rank_with_random_ties(x, 1), rank_with_random_ties(y, 2)
     return x, 1e8 + y
+
+
+def reference_grid_lr_sweep(a: np.ndarray, n: int, nonempty: bool):
+    """The grid likelihood-ratio sweep as a loop over x-spans: sum(o log o) per bucket.
+
+    Each x-span scores its y-spans with one bincount over y class * (N+1) +
+    length, in lexicographic y-span order, and x-spans are added in loop
+    order. ``GridCells`` must reproduce these tables byte for byte.
+    """
+    lut = _xlogx_table(n)
+    cc, dd = np.triu_indices(n + 1, k=1)
+    keys = np.where((cc == 0) | (dd == n), n + 1, 0) + (dd - cc)
+    nk = 2 * (n + 1)
+    p = np.zeros((2, n + 1, nk))
+    z = np.zeros((2, 2, n + 1, n + 1)) if nonempty else None
+    for lo in range(n):
+        row_lo = a[lo]
+        for hi in range(lo + 1, n + (lo > 0)):
+            xc = 0 if (lo >= 1 and hi <= n - 1) else 1
+            diff = a[hi] - row_lo
+            o = diff[dd] - diff[cc]
+            p[xc, hi - lo] += np.bincount(keys, weights=lut[o], minlength=nk)
+            if nonempty:
+                z[xc, :, hi - lo] += np.bincount(keys[o > 0], minlength=nk).reshape(2, n + 1)
+    return p.reshape(2, n + 1, 2, n + 1).transpose(0, 2, 1, 3), z
+
+
+def reference_point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty: bool):
+    """The point-anchored sweep over every candidate cell, masked down to the valid ones.
+
+    Returns the (U, V, W, Z) bucket tables that ``_point_cell_tables`` must
+    reproduce byte for byte.
+    """
+    n = yx.size
+    a = _count_grid(yx).a
+    lr = score is ScoreKind.LIKELIHOOD_RATIO
+    lut = _xlogx_table(n)
+    loglen = _log_table(n)
+    y_of_x = np.full(n + 2, -1, dtype=np.int64)
+    y_of_x[1 : n + 1] = yx
+    xs_by_y = np.empty(n, dtype=np.int64)
+    xs_by_y[yx - 1] = np.arange(1, n + 1)
+    nbuck = 5 * (n + 1)
+    u_acc = np.zeros(nbuck)
+    v_acc = np.zeros(nbuck)
+    w_acc = np.zeros(nbuck) if not lr else None
+    z_acc = np.zeros(nbuck) if with_nonempty else None
+    a_last = a[n]
+    zeros_row = np.zeros(n + 1, dtype=np.int64)
+    for rl in range(0, n):
+        row_rl = a[rl]
+        row_rlm1 = a[rl - 1] if rl >= 1 else zeros_row
+        u_cut = y_of_x[rl]
+        for rh in range(rl + 2, n + 2):
+            width = rh - rl - 1
+            v_cut = y_of_x[rh]
+            ok = ~((xs_by_y > rl) & (xs_by_y < rh))
+            vs = np.flatnonzero(ok) + 1
+            nv = vs.size
+            svals = np.empty(nv + 2, dtype=np.int64)
+            svals[0] = 0
+            svals[1 : nv + 1] = vs
+            svals[nv + 1] = n + 1
+            ii, jj = np.triu_indices(nv + 2, k=1)
+            sl = svals[ii]
+            sh = svals[jj]
+            keep = (sh - sl) >= 2
+            iu, iv = np.searchsorted(svals, (u_cut, v_cut))
+            keep &= ~((ii < iu) & (jj > iu))
+            keep &= ~((ii < iv) & (jj > iv))
+            sl = sl[keep]
+            sh = sh[keep]
+            ii_k = ii[keep]
+            jj_k = jj[keep]
+            diff = a[rh - 1] - row_rl
+            o = diff[sh - 1] - diff[sl]
+            outside = row_rlm1 + a_last - a[min(rh, n)]
+            out_tot = int(outside[n])
+            pad_lo = np.concatenate(([0], outside))
+            pad_hi = np.concatenate((outside, [out_tot]))
+            out_cnt = pad_lo[sl] + (out_tot - pad_hi[sh])
+            k = int(rl >= 1) + int(rh <= n) + (ii_k >= 1) + (jj_k <= nv)
+            k = k - (sl == u_cut) - (sh == u_cut) - (sl == v_cut) - (sh == v_cut)
+            length = sh - sl - 1
+            buck = k * (n + 1) + out_cnt
+            if lr:
+                val = lut[o] - o * (loglen[width] + loglen[length])
+                u_acc += np.bincount(buck, weights=val, minlength=nbuck)
+                v_acc += np.bincount(buck, weights=o, minlength=nbuck)
+            else:
+                area = (width * length).astype(float)
+                u_acc += np.bincount(buck, weights=o * o / area, minlength=nbuck)
+                v_acc += np.bincount(buck, weights=o, minlength=nbuck)
+                w_acc += np.bincount(buck, weights=area, minlength=nbuck)
+            if with_nonempty:
+                z_acc += np.bincount(buck, weights=(o > 0).astype(float), minlength=nbuck)
+    return u_acc, v_acc, w_acc, z_acc

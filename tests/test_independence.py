@@ -23,11 +23,18 @@ from partitest import (
     penalized_adp_sum,
     rank_with_random_ties,
 )
-from partitest.independence import _grid_m2_partition_scores
-from partitest.core import cumulative_count_grid
+from partitest.independence import GridCells, _grid_m2_partition_scores, _point_cell_tables
+from partitest.core import _count_grid, _pair_index_cache, cumulative_count_grid
 from partitest.oracle import oracle_adp, oracle_ddp, oracle_hhg
 
-from helpers import golden_hhg_pair, golden_shuffled_pair, golden_sweep, random_rank_pair
+from helpers import (
+    golden_hhg_pair,
+    golden_shuffled_pair,
+    golden_sweep,
+    random_rank_pair,
+    reference_grid_lr_sweep,
+    reference_point_cell_tables,
+)
 
 
 def rank_pair(xr, yr):
@@ -168,6 +175,53 @@ class TestPointSweepGolden:
         x, y = golden_layout(n, layout)
         got = [v.hex() for v in ddp_sum_all_m(x, y, score).values]
         assert got == golden_sweep()["ddp_sum_all_m"][score][str(n)][layout]
+
+
+LAYOUTS = ["random", "identity", "reversed"]
+SWEEP_SIZES = [*range(2, 14), 30]
+GRID_TABLE_CASES = [
+    *((n, layout, ne) for n in SWEEP_SIZES for layout in LAYOUTS for ne in (False, True)),
+    (100, "random", True),
+]
+POINT_TABLE_CASES = [
+    *(
+        (n, layout, score, nonempty)
+        for n in SWEEP_SIZES
+        for layout in LAYOUTS
+        for score in ScoreKind
+        for nonempty in (False, True)
+    ),
+    (41, "random", ScoreKind.LIKELIHOOD_RATIO, True),
+]
+
+
+class TestSweepTables:
+    """The vectorised sweeps against their per-span loops, byte for byte."""
+
+    @pytest.mark.parametrize("n,layout,nonempty", GRID_TABLE_CASES)
+    def test_grid_lr_tables(self, n, layout, nonempty):
+        _, yx = golden_layout(n, layout)
+        a = _count_grid(yx).a
+        p_ref, z_ref = reference_grid_lr_sweep(a, n, nonempty)
+        assert GridCells._lr_sweep(a, n).tobytes() == np.ascontiguousarray(p_ref).tobytes()
+        if nonempty:
+            assert GridCells._nonempty_counts(yx, a, n).tobytes() == z_ref.tobytes()
+
+    @pytest.mark.parametrize("n,layout,score,nonempty", POINT_TABLE_CASES)
+    def test_point_tables(self, n, layout, score, nonempty):
+        _, yx = golden_layout(n, layout)
+        got = _point_cell_tables(yx, score, nonempty)
+        for table, ref in zip(got, reference_point_cell_tables(yx, score, nonempty)):
+            assert (table is None) == (ref is None)
+            if ref is not None:
+                assert table.tobytes() == ref.tobytes()
+
+    def test_point_sweep_keeps_one_pair_triangle(self):
+        _pair_index_cache.cache_clear()
+        for n in (20, 30):
+            x, y = golden_layout(n, "random")
+            ddp_sum_all_m(x, y, "lr")
+        assert _pair_index_cache.cache_info().currsize == 2
 
 
 class TestInvalidCellRule:
