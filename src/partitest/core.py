@@ -12,6 +12,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -94,7 +95,8 @@ def rank_with_random_ties(values, tie_seed: int = 0) -> RankedSample:
 
     Untied values are ranked by order.  Tied values are ordered by a seeded
     Fisher-Yates shuffle of the indices, so the same input and seed always
-    produce the same ranks and the result is still a true permutation.
+    produce the same ranks and the result is still a true permutation.  The
+    shuffle only orders tied values, so untied input skips it.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -104,14 +106,17 @@ def rank_with_random_ties(values, tie_seed: int = 0) -> RankedSample:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample contains non-finite values")
+    tie_seed = operator.index(tie_seed)
     if tie_seed < 0:
         raise ValueError("tie_seed must be a non-negative integer")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(tie_seed)))
-    shuffled = rng.permutation(n)
-    order = np.lexsort((shuffled, arr))
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    if (ordered[1:] == ordered[:-1]).any():  # equal values, -0.0 and 0.0 included
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(tie_seed)))
+        order = np.lexsort((rng.permutation(n), arr))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
-    return RankedSample(ranks=ranks, n=n, tie_seed=int(tie_seed))
+    return RankedSample(ranks=ranks, n=n, tie_seed=tie_seed)
 
 
 @dataclass(frozen=True)

@@ -105,16 +105,25 @@ def penalize(values, family: str, n: int, prior: PriorSpec):
     Observed data and null rows go through this same function.
     """
     values = np.asarray(values)
-    ms = np.arange(2, values.shape[-1] + 2)
+    divisor, add = _penalty_terms(family, n, values.shape[-1], prior)
+    if divisor is not None:
+        values = values / divisor
+    return np.max(values + add, axis=-1)
+
+
+@lru_cache(maxsize=32)
+def _penalty_terms(family: str, n: int, n_ms: int, prior: PriorSpec):
+    """(divisor or None, additive term) of :func:`penalize` for m = 2..n_ms + 1."""
+    ms = np.arange(2, n_ms + 2)
     if family == "max":
         if prior.variant == "ds":
             add = -prior.lambda0 * math.log(n) * (ms - 1)
         else:
             add = -np.log(partition_count(family, n, ms)) + prior.log_prior_m(ms, n)
-        return np.max(values + add, axis=-1)
+        return None, _freeze(add)
     if prior.variant == "ds":
         raise ValueError("ds prior applies to max aggregation only")
-    return np.max(values / partition_count(family, n, ms) + prior.log_prior_m(ms, n), axis=-1)
+    return _freeze(partition_count(family, n, ms)), _freeze(prior.log_prior_m(ms, n))
 
 
 @lru_cache(maxsize=8)

@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from . import ksample as _ks
-from .core import GroupedSample, ScoreKind, chunk_map, y_by_x
+from .core import GroupedSample, ScoreKind, _freeze, chunk_map, y_by_x
 from .independence import SUM_CELLS
 from .ksample import PriorSpec, penalize
 
@@ -101,7 +101,12 @@ def exact_enumeration_count(meta: NullTableMeta) -> int:
 
 @dataclass(eq=False)
 class NullTable:
-    """B null-replicate statistic rows (columns are m = 2..m_max) plus metadata."""
+    """B null-replicate statistic rows (columns are m = 2..m_max) plus metadata.
+
+    A table caches what every test against it reads: one sorted copy of its
+    columns, stored m-major so each m's null sample is one contiguous row, and
+    its combined null distributions.
+    """
 
     meta: NullTableMeta
     data: np.ndarray
@@ -125,15 +130,21 @@ class NullTable:
     def ms(self) -> np.ndarray:
         return np.arange(2, self.meta.m_max + 1)
 
-    def sorted_columns(self) -> np.ndarray:
+    def _sorted_rows(self) -> np.ndarray:
+        """Each m's null values in ascending order, as one C-contiguous (m_max - 1, B) array."""
         if self._sorted is None:
-            cols = np.sort(self.data, axis=0)
-            cols.flags.writeable = False
-            self._sorted = cols
+            rows = np.array(self.data.T, order="C")
+            rows.sort(axis=1)
+            self._sorted = _freeze(rows)
         return self._sorted
 
+    def sorted_columns(self) -> np.ndarray:
+        """Ascending-sorted columns, shape (B, m_max - 1): a view of the one sorted copy."""
+        return self._sorted_rows().T
+
     def combined_null(self, kind: str, prior: PriorSpec | None = None) -> np.ndarray:
-        key = (kind, None if prior is None else prior)
+        """The cached combined null; only the penalized one depends on the prior."""
+        key = (kind, prior) if kind == "penalized" else kind
         if key not in self._combined:
             self._combined[key] = combined_null_distribution(self, kind, prior)
         return self._combined[key]
@@ -274,7 +285,8 @@ def load_table(path: str) -> NullTable:
                 key, _, value = line[1:].partition("=")
                 fields[key] = value
             elif line:
-                rows.append([float(tok) for tok in line.split("\t")])
+                # a small array per row, not a list of floats, keeps the peak memory low
+                rows.append(np.array([float(tok) for tok in line.split("\t")]))
     for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
         if key not in fields:
             raise ValueError(f"missing header key: {key}")
@@ -334,14 +346,20 @@ def combined_statistic(per_m_pvalues, kind: str) -> float | np.ndarray:
 
 
 def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
-    """Per-m p-values of statistic rows against the table's own columns."""
-    cols = table.sorted_columns()
-    b = table.b
+    """Per-m p-values of statistic rows against the table's own sorted rows.
+
+    The result is C-contiguous (R, m), so a row's combined statistic reduces
+    its p-values in the same order whether it is one observed row or one of
+    the table's own rows.
+    """
     rows = np.atleast_2d(values)
-    out = np.empty_like(rows)
-    for j in range(rows.shape[1]):
-        geq = b - np.searchsorted(cols[:, j], rows[:, j], side="left")
-        out[:, j] = (1.0 + geq) / (b + 1.0)
+    out = np.empty(rows.shape)
+    for j, null_row in enumerate(table._sorted_rows()):
+        out[:, j] = null_row.searchsorted(rows[:, j], side="left")
+    # b + 1 - #{v < x} is the integer 1 + #{v >= x}, exact in a double
+    total = table.b + 1.0
+    np.subtract(total, out, out=out)
+    out /= total
     return out
 
 
@@ -418,7 +436,7 @@ def run_test(data, table: NullTable, kind: str = "minp", prior: PriorSpec | None
         extreme = b - int(np.searchsorted(null_combined, stat, side="left"))
     final = (1.0 + extreme) / (b + 1.0)
     return TestResult(
-        ms=tuple(int(m) for m in table.ms),
+        ms=tuple(range(2, meta.m_max + 1)),
         per_m_pvalues=pvec,
         combined_kind=kind,
         combined_statistic=stat,

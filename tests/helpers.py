@@ -147,3 +147,19 @@ def reference_point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty:
             if with_nonempty:
                 z_acc += np.bincount(buck, weights=(o > 0).astype(float), minlength=nbuck)
     return u_acc, v_acc, w_acc, z_acc
+
+
+def reference_rank_with_random_ties(values, tie_seed: int):
+    """Ranks by a seeded shuffle of every index as the tie-break key: (ranks, tie_seed).
+
+    The fast path of ``rank_with_random_ties`` skips the shuffle for untied
+    input and must give these ranks for every input.
+    """
+    arr = np.asarray(values, dtype=float)
+    n = arr.size
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(tie_seed)))
+    shuffled = rng.permutation(n)
+    order = np.lexsort((shuffled, arr))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1)
+    return ranks, int(tie_seed)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partitest import (
@@ -16,6 +16,8 @@ from partitest import (
     rank_with_random_ties,
 )
 from partitest.core import _correctly_rounded_sums, chunk_map, y_by_x
+
+from helpers import reference_rank_with_random_ties
 
 
 class TestRanking:
@@ -51,6 +53,29 @@ class TestRanking:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             rank_with_random_ties([1.0, math.nan], 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60, unique=True),
+            st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]), min_size=1, max_size=60),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+        ),
+        st.integers(0, 2**64),
+    )
+    @example([7.5], 0)
+    @example([-0.0, 0.0], 0)
+    @example([0.0, -0.0, 1.0, -0.0], 5)
+    def test_matches_shuffle_reference(self, values, tie_seed):
+        # untied input skips the shuffle; the ranks and tie_seed must not show it
+        got = rank_with_random_ties(values, tie_seed)
+        ranks, seed = reference_rank_with_random_ties(values, tie_seed)
+        assert got.ranks.tolist() == ranks.tolist()
+        assert got.tie_seed == seed
+
+    def test_non_integer_tie_seed_rejected(self):
+        with pytest.raises(TypeError):
+            rank_with_random_ties([1.0, 2.0], 1.5)
 
     def test_ranked_sample_validates_permutation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ from partitest import (
     penalized_max,
     penalized_sum,
 )
+from partitest.core import partition_count
+from partitest.ksample import _penalty_terms, penalize
 from partitest.oracle import oracle_ksample
 
 from helpers import golden_grouped, golden_sweep, random_grouped_labels
@@ -253,6 +255,32 @@ class TestPenalized:
         stats = ksample_sum_all_m(grouped([1, 2, 1, 2]), "lr", m_max=3)
         with pytest.raises(ValueError):
             penalized_sum(stats, PriorSpec.ds(1.0))
+
+    @pytest.mark.parametrize("family", ["sum", "max", "adp_sum", "ddp_sum"])
+    def test_cached_terms_give_the_direct_bits(self, family):
+        # the cached penalty vectors are the expressions penalize would evaluate per call
+        n, n_ms = 30, 9
+        values = np.random.default_rng(23).gamma(2.0, 50.0, size=(7, n_ms))
+        ms = np.arange(2, n_ms + 2)
+        priors = [PriorSpec.poisson_sqrt_n(), PriorSpec.binomial(0.2), PriorSpec.uniform(6)]
+        if family == "max":
+            priors.append(PriorSpec.ds(0.7))
+        for prior in priors:
+            if prior.variant == "ds":
+                direct = np.max(values + -prior.lambda0 * math.log(n) * (ms - 1), axis=-1)
+            elif family == "max":
+                add = -np.log(partition_count(family, n, ms)) + prior.log_prior_m(ms, n)
+                direct = np.max(values + add, axis=-1)
+            else:
+                direct = np.max(
+                    values / partition_count(family, n, ms) + prior.log_prior_m(ms, n), axis=-1
+                )
+            for _ in range(2):  # the first call fills the cache, the second reads it
+                assert penalize(values, family, n, prior).tobytes() == direct.tobytes()
+                assert penalize(values[0], family, n, prior).hex() == float(direct[0]).hex()
+            assert not any(
+                t.flags.writeable for t in _penalty_terms(family, n, n_ms, prior) if t is not None
+            )
 
 
 GOLDEN_ROWS = [

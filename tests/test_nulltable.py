@@ -2,7 +2,7 @@ import hashlib
 import math
 import os
 from dataclasses import replace
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -19,13 +19,20 @@ from partitest import (
     combined_null_distribution,
     combined_statistic,
     generate_null_table,
+    ksample_max_all_m,
     ksample_sum_all_m,
     load_table,
     p_value,
     run_test,
     save_table,
 )
-from partitest.nulltable import exact_enumeration_count
+from partitest.nulltable import (
+    _base_labels,
+    _mc_arrangement,
+    _multiset_permutations,
+    _per_m_pvalue_rows,
+    exact_enumeration_count,
+)
 from partitest.oracle import oracle_ddp
 
 from helpers import golden_hhg_pair, golden_sweep
@@ -70,6 +77,22 @@ def grouped_from_arrangement(labels_by_rank):
         y_ranks=RankedSample(np.arange(1, n + 1), n, 0),
         group_sizes=sizes,
     )
+
+
+def table_arrangements(meta, count):
+    """The arrangements behind a table's first ``count`` rows."""
+    if meta.exact:
+        return list(islice(_multiset_permutations(_base_labels(meta).tolist()), count))
+    return [_mc_arrangement(meta, b) for b in range(count)]
+
+
+# exact (252 rows), Monte Carlo sum with 28 m, Monte Carlo K=3 max
+LAYOUT_TABLES = [
+    ksample_meta(n=10, group_sizes=(5, 5), m_max=10),
+    ksample_meta(n=60, group_sizes=(30, 30), m_max=29, b=300),
+    ksample_meta(family="max", score="pearson", n=30, group_sizes=(10, 10, 10), m_max=15, b=200),
+]
+LAYOUT_IDS = ["sum-exact", "sum-mc", "max-mc"]
 
 
 class TestPValue:
@@ -373,6 +396,15 @@ class TestCombinedNull:
         assert dist.min() == pytest.approx(2.0 / 151.0)
         assert dist.max() == pytest.approx(1.0)
 
+    def test_cached_by_kind_and_penalized_prior(self):
+        table = generate_null_table(ksample_meta())
+        prior = PriorSpec.poisson_sqrt_n()
+        for kind in ("minp", "fisher"):
+            assert table.combined_null(kind, prior) is table.combined_null(kind)
+        penalized = table.combined_null("penalized", prior)
+        assert table.combined_null("penalized", PriorSpec.poisson_sqrt_n()) is penalized
+        assert table.combined_null("penalized", PriorSpec.uniform(3)) is not penalized
+
     def test_exact_table_distribution_matches_direct_enumeration(self):
         table = generate_null_table(ksample_meta())
         b = table.meta.b
@@ -384,6 +416,88 @@ class TestCombinedNull:
                 ps.append((1 + geq) / (b + 1))
             direct.append(min(ps))
         assert np.allclose(np.sort(direct), combined_null_distribution(table, "minp"))
+
+
+class TestPValueLayout:
+    """A table's own rows and an observed row get their combined statistic alike.
+
+    Fisher's -sum(log p) adds in an order that follows the memory layout of the
+    p-value matrix, so the matrix must be C-contiguous like one observed row.
+    """
+
+    @pytest.mark.parametrize("meta", LAYOUT_TABLES, ids=LAYOUT_IDS)
+    def test_table_rows_combine_like_observed_rows(self, meta):
+        table = generate_null_table(meta)
+        pvals = _per_m_pvalue_rows(table, table.data)
+        assert pvals.shape == table.data.shape
+        assert pvals.flags.c_contiguous
+        for kind in ("minp", "fisher"):
+            matrix = combined_statistic(pvals, kind)
+            single = [
+                combined_statistic(_per_m_pvalue_rows(table, row)[0], kind) for row in table.data
+            ]
+            assert [v.hex() for v in matrix.tolist()] == [v.hex() for v in single]
+            assert np.sort(matrix).tobytes() == table.combined_null(kind).tobytes()
+
+    @pytest.mark.parametrize("meta", LAYOUT_TABLES, ids=LAYOUT_IDS)
+    def test_run_test_on_a_table_row(self, meta):
+        table = generate_null_table(meta)
+        pvals = _per_m_pvalue_rows(table, table.data)
+        for kind in ("minp", "fisher"):
+            matrix = combined_statistic(pvals, kind)
+            for i, arrangement in enumerate(table_arrangements(table.meta, 10)):
+                res = run_test(grouped_from_arrangement(arrangement), table, kind)
+                assert res.per_m_pvalues.tobytes() == pvals[i].tobytes()
+                assert res.combined_statistic.hex() == float(matrix[i]).hex()
+
+
+class TestSortedColumns:
+    @pytest.mark.parametrize("meta", LAYOUT_TABLES, ids=LAYOUT_IDS)
+    def test_shape_order_and_read_only(self, meta):
+        table = generate_null_table(meta)
+        cols = table.sorted_columns()
+        assert cols.shape == (table.b, meta.m_max - 1)
+        assert np.all(np.diff(cols, axis=0) >= 0)
+        assert cols.tobytes() == np.sort(table.data, axis=0).tobytes()
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0, 0] = 0.0
+
+    @pytest.mark.parametrize("meta", LAYOUT_TABLES, ids=LAYOUT_IDS)
+    def test_p_value_reproduces_run_test(self, meta):
+        # table rows' arrangements, so observed values equal table entries,
+        # plus the two sorted arrangements
+        table = generate_null_table(meta)
+        cols = table.sorted_columns()
+        statistic = ksample_sum_all_m if meta.family == "sum" else ksample_max_all_m
+        base = _base_labels(table.meta)
+        for arrangement in table_arrangements(table.meta, 5) + [base, base[::-1]]:
+            gs = grouped_from_arrangement(arrangement)
+            values = statistic(gs, meta.score, meta.m_max).values
+            res = run_test(gs, table, "minp")
+            pvals = [p_value(v, cols[:, j]) for j, v in enumerate(values)]
+            assert pvals == res.per_m_pvalues.tolist()
+
+    @pytest.mark.parametrize("meta", LAYOUT_TABLES, ids=LAYOUT_IDS)
+    def test_p_value_outside_and_on_table_entries(self, meta):
+        # the observed row is the table's row 0; columns 0 and 1 are moved so it
+        # falls below the minimum and above the maximum, column 2 ties it often
+        table = generate_null_table(meta)
+        b = table.b
+        observed = table.data[0]
+        data = table.data.copy()
+        data[:, 0] = observed[0] + abs(observed[0]) + 1.0 + np.arange(b)
+        data[:, 1] = observed[1] - abs(observed[1]) - 1.0 - np.arange(b)
+        data[: b // 2, 2] = observed[2]
+        moved = NullTable(meta=table.meta, data=data)
+        gs = grouped_from_arrangement(table_arrangements(table.meta, 1)[0])
+        res = run_test(gs, moved, "minp")
+        cols = moved.sorted_columns()
+        pvals = [p_value(v, cols[:, j]) for j, v in enumerate(observed)]
+        assert pvals == res.per_m_pvalues.tolist()
+        assert res.per_m_pvalues[0] == 1.0
+        assert res.per_m_pvalues[1] == 1.0 / (b + 1)
+        assert res.per_m_pvalues[2] >= (1 + b // 2) / (b + 1)
 
 
 class TestRunTest:
