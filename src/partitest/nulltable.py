@@ -19,7 +19,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -261,14 +261,27 @@ def save_table(table: NullTable, path: str) -> None:
         raise
 
 
+def _data_lines(fh, fields: dict[str, str]):
+    """The statistic lines of an open ``.pnt`` file, after its version line.
+
+    Each ``#key=value`` line, wherever it appears, is stored in ``fields``;
+    empty lines are skipped.
+    """
+    for line in fh:
+        if line.startswith("#"):
+            key, _, value = line.rstrip("\n")[1:].partition("=")
+            fields[key] = value
+        elif line != "\n":
+            yield line
+
+
 def load_table(path: str) -> NullTable:
     """Read a ``.pnt`` file.
 
-    A malformed header, a non-finite row, or an exact table whose B is not
-    the enumeration count raises ValueError.
+    A malformed header or row, a non-finite row, or an exact table whose B
+    is not the enumeration count raises ValueError.
     """
     fields: dict[str, str] = {}
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if not magic.startswith("#PNT v"):
@@ -279,14 +292,15 @@ def load_table(path: str) -> NullTable:
             raise ValueError("malformed version line") from exc
         if major != _FORMAT_MAJOR:
             raise ValueError(f"unsupported format major version {major}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                fields[key] = value
-            elif line:
-                # a small array per row, not a list of floats, keeps the peak memory low
-                rows.append(np.array([float(tok) for tok in line.split("\t")]))
+        lines = _data_lines(fh, fields)
+        first = next(lines, None)
+        if first is None:
+            # loadtxt would warn on an empty body; NullTable rejects the 1-D array
+            data = np.empty(0)
+        else:
+            # one streamed C parse, correctly rounded like float(); no line is
+            # a comment to it, so a '#' inside a row is a malformed token
+            data = np.loadtxt(chain((first,), lines), delimiter="\t", comments=None, ndmin=2)
     for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
         if key not in fields:
             raise ValueError(f"missing header key: {key}")
@@ -307,7 +321,6 @@ def load_table(path: str) -> NullTable:
     # for a header with a huge N.
     if meta.exact and (meta.n > EXACT_LIMIT or meta.b != exact_enumeration_count(meta)):
         raise ValueError(f"exact table holds B={meta.b} rows, not the full enumeration")
-    data = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite statistic in table")
     return NullTable(meta=meta, data=data)
@@ -345,6 +358,15 @@ def combined_statistic(per_m_pvalues, kind: str) -> float | np.ndarray:
     return float(combined) if combined.ndim == 0 else combined
 
 
+def _tail_pvalues(below: np.ndarray, b: int) -> np.ndarray:
+    """(1 + #{v >= x}) / (B + 1) in place, from the counts #{v < x} of a (R, m) array."""
+    # b + 1 - #{v < x} is the integer 1 + #{v >= x}, exact in a double
+    total = b + 1.0
+    np.subtract(total, below, out=below)
+    below /= total
+    return below
+
+
 def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
     """Per-m p-values of statistic rows against the table's own sorted rows.
 
@@ -353,14 +375,44 @@ def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
     the table's own rows.
     """
     rows = np.atleast_2d(values)
-    out = np.empty(rows.shape)
-    for j, null_row in enumerate(table._sorted_rows()):
-        out[:, j] = null_row.searchsorted(rows[:, j], side="left")
-    # b + 1 - #{v < x} is the integer 1 + #{v >= x}, exact in a double
-    total = table.b + 1.0
-    np.subtract(total, out, out=out)
-    out /= total
-    return out
+    null_rows = table._sorted_rows()
+    if rows.shape[0] == 1:
+        # one observed row: a scalar search per m, without a 1-element array per call
+        searches = map(np.ndarray.searchsorted, null_rows, rows[0].tolist())
+        below = np.fromiter(searches, dtype=float, count=len(null_rows))
+        return _tail_pvalues(below.reshape(rows.shape), table.b)
+    below = np.empty(rows.shape)
+    for j, null_row in enumerate(null_rows):
+        below[:, j] = null_row.searchsorted(rows[:, j], side="left")
+    return _tail_pvalues(below, table.b)
+
+
+def _self_pvalue_rows(table: NullTable) -> np.ndarray:
+    """``_per_m_pvalue_rows(table, table.data)``, counted from one sort per m.
+
+    #{v < x} of a value in its own column is the position where its run of
+    equal values starts in the column's sorted order.  That position does not
+    depend on how the sort orders equal values (-0.0 equals 0.0, as in
+    ``searchsorted``), so the counts, and the p-values, are the same bits.
+    """
+    data = table.data
+    b = data.shape[0]
+    below = np.empty(data.shape)
+    positions = np.arange(b)
+    starts = np.empty(b, dtype=np.intp)
+    counts = np.empty(b, dtype=np.intp)
+    new_run = np.empty(b - 1, dtype=bool)
+    for j in range(data.shape[1]):
+        column = np.ascontiguousarray(data[:, j])
+        order = column.argsort()
+        s = column[order]
+        np.not_equal(s[1:], s[:-1], out=new_run)
+        starts[0] = 0
+        np.multiply(new_run, positions[1:], out=starts[1:])
+        np.maximum.accumulate(starts, out=starts)
+        counts[order] = starts
+        below[:, j] = counts
+    return _tail_pvalues(below, table.b)
 
 
 def combined_null_distribution(
@@ -378,7 +430,7 @@ def combined_null_distribution(
         if prior is None:
             raise ValueError("penalized combination needs a prior")
         return np.sort(penalize(table.data, table.meta.family, table.meta.n, prior))
-    return np.sort(combined_statistic(_per_m_pvalue_rows(table, table.data), kind))
+    return np.sort(combined_statistic(_self_pvalue_rows(table), kind))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 import hashlib
+import io
 import math
 import os
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import islice, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partitest import (
@@ -31,11 +35,13 @@ from partitest.nulltable import (
     _mc_arrangement,
     _multiset_permutations,
     _per_m_pvalue_rows,
+    _self_pvalue_rows,
     exact_enumeration_count,
 )
+from partitest.cli import main as cli_main
 from partitest.oracle import oracle_ddp
 
-from helpers import golden_hhg_pair, golden_sweep
+from helpers import golden_hhg_pair, golden_sweep, reference_load_table
 
 
 def ksample_meta(**kw):
@@ -210,6 +216,70 @@ class TestGeneration:
             ksample_meta(m_max=9)
 
 
+# Saved tables the reader fuzz mutates, each with a data file that matches it:
+# an exact K-sample table with 3 columns and an exact independence one with 1.
+FUZZ_TABLES = [
+    (ksample_meta(), "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n"),
+    (indep_meta(m_max=2, b=100), "1\t4\n2\t3\n3\t1\n4\t2\n"),
+]
+# header lines: the version line and nine #key=value lines
+FUZZ_HEADER_LINES = 10
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(
+        ["", " ", "x", "1e", "--1", "0x10", "1,5", ".", "nan", "-nan", "inf", "-Infinity",
+         "1e400", "-1e400", "1e-400", "-0", "-0.0", "+0", " 2.5 ", "4.9e-324", "#", "1#2"]
+    ),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-naifINFty #x\t", max_size=8),
+)
+FUZZ_LINES = st.one_of(
+    st.sampled_from(["", " ", "\t", "  \t ", "\xa0", "#", "# note", "#x=1", "#seed=3"]),
+    st.text(alphabet="0123456789.e-# \t=abBN", max_size=10),
+)
+FUZZ_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("token"), st.integers(0, 10**6), st.integers(0, 10), FUZZ_TOKENS),
+        st.tuples(st.just("drop"), st.integers(0, 10**6), st.integers(0, 10)),
+        st.tuples(st.just("append"), st.integers(0, 10**6), FUZZ_TOKENS),
+        st.tuples(st.just("insert"), st.integers(0, 10**6), FUZZ_LINES),
+        st.tuples(st.just("empty_body")),
+    ),
+    max_size=4,
+)
+
+
+def mutated_table_bytes(text: str, edits, newline: str, final_newline: bool) -> bytes:
+    """A saved table's text with row edits and inserted lines, re-joined by ``newline``."""
+    lines = text.split("\n")[:-1]
+    for edit in edits:
+        kind, body = edit[0], len(lines) - FUZZ_HEADER_LINES
+        if kind == "empty_body":
+            lines = lines[:FUZZ_HEADER_LINES]
+        elif kind == "insert":
+            pos = 1 + edit[1] % len(lines)
+            lines.insert(pos, edit[2])
+        elif body > 0:
+            i = FUZZ_HEADER_LINES + edit[1] % body
+            tokens = lines[i].split("\t")
+            if kind == "token":
+                tokens[edit[2] % len(tokens)] = edit[3]
+            elif kind == "drop":
+                del tokens[edit[2] % len(tokens)]
+            else:
+                tokens.append(edit[2])
+            lines[i] = "\t".join(tokens)
+    return (newline.join(lines) + (newline if final_newline else "")).encode("utf-8")
+
+
+def outcome(read, path):
+    """(meta, data bytes) of a successful read, or the exception it raised."""
+    try:
+        table = read(path)
+    except Exception as exc:  # compared by type below
+        return exc
+    return table.meta, table.data.tobytes()
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         table = generate_null_table(ksample_meta())
@@ -290,6 +360,102 @@ class TestPersistence:
         with pytest.raises(OSError):
             save_table(table, str(target))
         assert not target.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(range(len(FUZZ_TABLES))),
+        edits=FUZZ_EDITS,
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        final_newline=st.booleans(),
+    )
+    @example(case=0, edits=[], newline="\r\n", final_newline=True)
+    @example(case=0, edits=[("empty_body",)], newline="\n", final_newline=True)
+    @example(case=1, edits=[("empty_body",), ("insert", 12, "")], newline="\n", final_newline=True)
+    @example(case=0, edits=[("drop", 3, 0)], newline="\n", final_newline=True)
+    @example(case=0, edits=[("insert", 11, "")], newline="\n", final_newline=False)
+    @example(case=0, edits=[("insert", 11, "  \t ")], newline="\n", final_newline=True)
+    @example(case=1, edits=[("insert", 13, " ")], newline="\n", final_newline=True)
+    @example(case=0, edits=[("insert", 12, "# note")], newline="\n", final_newline=True)
+    @example(case=0, edits=[("token", 2, 1, "1e400")], newline="\n", final_newline=True)
+    @example(case=1, edits=[("token", 2, 0, "nan")], newline="\n", final_newline=True)
+    @example(case=1, edits=[("token", 2, 0, "-inf")], newline="\n", final_newline=True)
+    @example(case=0, edits=[("token", 0, 2, "-0")], newline="\n", final_newline=True)
+    @example(case=0, edits=[("token", 1, 0, "x")], newline="\n", final_newline=True)
+    @example(case=0, edits=[("token", 1, 2, "1#2")], newline="\n", final_newline=True)
+    @example(case=1, edits=[("token", 1, 0, "1#")], newline="\n", final_newline=True)
+    def test_reader_matches_float_reference_on_mutated_files(
+        self, case, edits, newline, final_newline
+    ):
+        meta, data_text = FUZZ_TABLES[case]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.pnt")
+            save_table(generate_null_table(meta), path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(mutated_table_bytes(text, edits, newline, final_newline))
+            expected = outcome(reference_load_table, path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = outcome(load_table, path)
+            assert caught == []
+            if isinstance(expected, Exception):
+                assert isinstance(expected, ValueError), repr(expected)
+                assert isinstance(got, ValueError), repr(got)
+            else:
+                assert got == expected
+            data_path = os.path.join(tmp, "d.tsv")
+            with open(data_path, "w", encoding="utf-8") as fh:
+                fh.write(data_text)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli_main(["test", "--data", data_path, "--table", path])
+        if isinstance(got, Exception):
+            assert code == 4
+            assert err.getvalue().startswith("error: bad table file")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert code == 0, err.getvalue()
+
+    @pytest.mark.parametrize(
+        "token,value",
+        # float() reads underscores between digits and any Unicode decimal digit;
+        # the C parser reads ASCII digits only
+        [("1_0", 10.0), ("2_5e-1", 2.5), ("\u0661", 1.0), ("\uff12", 2.0)],
+    )
+    def test_tokens_float_accepts_and_the_reader_rejects(self, tmp_path, token, value):
+        path = tmp_path / "t.pnt"
+        save_table(generate_null_table(ksample_meta()), str(path))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[FUZZ_HEADER_LINES] = "\t".join([token] + lines[FUZZ_HEADER_LINES].split("\t")[1:])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert reference_load_table(str(path)).data[0, 0] == value
+        with pytest.raises(ValueError, match="could not convert string"):
+            load_table(str(path))
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_controls_are_whitespace_around_a_token(self, tmp_path, char):
+        # str.isspace() holds for U+001C..U+001F, which the C parser strips
+        # around a token as it strips spaces; float() rejects them
+        table = generate_null_table(ksample_meta())
+        path = tmp_path / "t.pnt"
+        save_table(table, str(path))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[FUZZ_HEADER_LINES] = char + lines[FUZZ_HEADER_LINES].replace("\t", char + "\t")
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            reference_load_table(str(path))
+        assert load_table(str(path)).data.tobytes() == table.data.tobytes()
+
+    def test_empty_body_raises_without_a_warning(self, tmp_path):
+        path = tmp_path / "t.pnt"
+        save_table(generate_null_table(ksample_meta()), str(path))
+        header = path.read_text(encoding="utf-8").split("\n")[:FUZZ_HEADER_LINES]
+        path.write_text("\n".join(header) + "\n\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="data shape"):
+                load_table(str(path))
 
 
 def golden_meta(**kw):
@@ -416,6 +582,62 @@ class TestCombinedNull:
                 ps.append((1 + geq) / (b + 1))
             direct.append(min(ps))
         assert np.allclose(np.sort(direct), combined_null_distribution(table, "minp"))
+
+
+def assert_self_ranks_match_searchsorted(table):
+    """The table's own per-m p-values and combined nulls equal the searchsorted ones."""
+    searched = _per_m_pvalue_rows(table, table.data)
+    assert _self_pvalue_rows(table).tobytes() == searched.tobytes()
+    for kind in ("minp", "fisher"):
+        expected = np.sort(combined_statistic(searched, kind)).tobytes()
+        assert combined_null_distribution(table, kind).tobytes() == expected
+        assert table.combined_null(kind).tobytes() == expected
+
+
+# exact tables at small N: every column is heavily tied
+SELF_RANK_EXACT_TABLES = [
+    ksample_meta(n=6, group_sizes=(3, 3), m_max=4),
+    ksample_meta(family="max", score="pearson", n=6, group_sizes=(2, 2, 2), m_max=4),
+    ksample_meta(n=8, group_sizes=(4, 4), m_max=8, score="pearson"),
+    indep_meta(n=5, m_max=3),
+    indep_meta(family="ddp_sum", score="pearson", n=5, m_max=4),
+]
+
+
+class TestSelfRanks:
+    """A table's own rows ranked from one sort per m, against searchsorted."""
+
+    @pytest.mark.parametrize("meta", SELF_RANK_EXACT_TABLES, ids=lambda m: f"{m.family}-{m.n}")
+    def test_exact_tables(self, meta):
+        table = generate_null_table(meta)
+        assert table.meta.exact
+        assert_self_ranks_match_searchsorted(table)
+
+    def test_constant_column_and_signed_zeros(self):
+        table = generate_null_table(ksample_meta(n=20, group_sizes=(10, 10), m_max=6, b=300))
+        data = table.data.copy()
+        data[:, 0] = 7.5
+        data[:, 3] = np.random.default_rng(0).choice([-0.0, 0.0, -1.0, 1.0], size=table.b)
+        assert np.signbit(data[:, 3][data[:, 3] == 0]).any()
+        assert_self_ranks_match_searchsorted(NullTable(meta=table.meta, data=data))
+
+    def test_monte_carlo_table_of_ten_thousand_rows(self, table_two_sample_100):
+        fresh = NullTable(meta=table_two_sample_100.meta, data=table_two_sample_100.data)
+        assert_self_ranks_match_searchsorted(fresh)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(1, 40),
+        m=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_random_tied_tables(self, b, m, data):
+        values = data.draw(
+            st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]), min_size=b * m, max_size=b * m)
+        )
+        meta = ksample_meta(n=10, group_sizes=(5, 5), m_max=m + 1, b=b)
+        table = NullTable(meta=meta, data=np.reshape(values, (b, m)))
+        assert_self_ranks_match_searchsorted(table)
 
 
 class TestPValueLayout:
