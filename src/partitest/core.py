@@ -395,6 +395,19 @@ def _cell_index_cache(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _freeze(lo0 + 1), _freeze(hi0 + 1), _freeze(bucket)
 
 
+@lru_cache(maxsize=32)
+def _packed_cell_cache(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of :func:`_cell_index_cache` column by column: (order, lo - 1, starts).
+
+    ``order`` lists the cells by hi ascending, then lo ascending, so the i
+    cells ending at rank i are one run, starting at ``starts[i - 1]``.
+    """
+    lo, hi, _ = _cell_index_cache(n)
+    order = np.lexsort((lo, hi))
+    starts = np.arange(n) * np.arange(1, n + 1) // 2
+    return _freeze(order), _freeze(lo[order] - 1), _freeze(starts)
+
+
 @lru_cache(maxsize=64)
 def _span_weight_rows(n: int, m_max: int) -> np.ndarray:
     """Partition-count weights per m, concatenated (internal widths, edge widths).
@@ -421,13 +434,18 @@ def _correctly_rounded_sums(p: np.ndarray) -> np.ndarray:
     summation, part I", SIAM J. Sci. Comput. 2008): with sigma = 2^(k+M),
     2^k > max|p| and 2^M >= J + 2 for J terms, q = (sigma + p) - sigma and
     r = p - q are exact and every q is a multiple of 2^-53 sigma, so sum(q)
-    is exact in any order.  Only sum(r) rounds, by at most gamma_J * sum|r|,
-    whatever order numpy's SIMD kernels add in.  (res, e) = TwoSum(sum q,
-    sum r) gives res + e = sum(q) + fl(sum r) exactly, so res is the correctly
-    rounded total whenever e widened by twice that bound, plus the smallest
-    normal to cover underflow, stays strictly inside the half-gaps to res's
-    neighbours.  Rounding is monotone, so comparing the rounded e + bound
-    against the exact half-gap decides that exactly.
+    is exact in any order.  Each sigma + p lies below 2 sigma, so rounding it
+    leaves |r| <= 2^-53 sigma = 2^(k+M-53), and sum|r| <= J 2^(k+M-53)
+    before any pass over r.  Only sum(r) rounds, by at most gamma_J sum|r| <
+    2 J^2 2^(k+M-106) whatever order numpy's SIMD kernels add in; that bound
+    is a power-of-two scaling, computed without rounding.  (res, e) =
+    TwoSum(sum q, sum r) gives res + e = sum(q) + fl(sum r) exactly, so res
+    is the correctly rounded total whenever e widened by the bound, plus the
+    smallest normal to cover underflow, stays strictly inside the half-gaps
+    to res's neighbours.  Rounding is monotone, so comparing the rounded
+    e + bound against the exact half-gap decides that exactly.  The bound is
+    set before the sum, so it is never tighter than one taken from sum|r|:
+    it can only change which rows take the fallback, never a result.
 
     A row without that certificate — an exact or near tie, a zero or
     near-subnormal total, a non-finite or near-overflow entry — takes
@@ -438,16 +456,18 @@ def _correctly_rounded_sums(p: np.ndarray) -> np.ndarray:
     terms = p.shape[1]
     spare = (terms + 1).bit_length()  # 2^spare >= terms + 2
     with np.errstate(all="ignore"):
-        _, k = np.frexp(np.max(np.abs(p), axis=1, initial=0.0))
-        sigma = np.ldexp(1.0, k + spare)[:, None]
-        q = (sigma + p) - sigma
-        r = p - q
+        q = np.abs(p)  # one buffer for |p|, then q, then r
+        _, k = np.frexp(q.max(axis=1, initial=0.0))
+        k += spare
+        sigma = np.ldexp(1.0, k)[:, None]
+        np.add(p, sigma, out=q)
+        q -= sigma
         tau1 = q.sum(axis=1)
-        tau2 = r.sum(axis=1)
+        tau2 = np.subtract(p, q, out=q).sum(axis=1)
         res = tau1 + tau2
         z = res - tau1
         e = (tau1 - (res - z)) + (tau2 - z)
-        bound = (2.0 * terms * 2.0**-53) * np.abs(r).sum(axis=1) + np.finfo(float).tiny
+        bound = np.ldexp(2.0 * terms * terms, k - 106) + np.finfo(float).tiny
         half_up = (np.nextafter(res, np.inf) - res) * 0.5
         half_down = (res - np.nextafter(res, -np.inf)) * 0.5
         certified = (e + bound < half_up) & (bound - e < half_down)

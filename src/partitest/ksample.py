@@ -27,6 +27,7 @@ from .core import (
     _correctly_rounded_sums,
     _freeze,
     _log_table,
+    _packed_cell_cache,
     _span_weight_rows,
     _xlogx_table,
     partition_count,
@@ -135,6 +136,8 @@ def _cell_tables(n: int, group_sizes: tuple[int, ...], score: ScoreKind):
     each cell.  A term is (o - e)^2 / e for Pearson and o log o - o (log w +
     log(N_g / N)) for LR, with expected mass e = w * N_g / N: the same float
     expressions per cell as scoring each cell directly, so the same bits.
+    With two groups the second count is w - o, and ``tables`` is one table of
+    whole cell scores, T0[w, o] + T1[w, w - o]: the one add a cell would make.
     """
     lo, hi, _ = _cell_index_cache(n)
     row = (hi - lo) * (n + 1)
@@ -145,6 +148,9 @@ def _cell_tables(n: int, group_sizes: tuple[int, ...], score: ScoreKind):
     else:
         xlogx, logw = _xlogx_table(n), _log_table(n)[w]
         tables = [xlogx - o * (logw + math.log(ng / n)) for ng in group_sizes]
+    if len(tables) == 2:
+        # entries with o > w are never read; their index is clipped to 0
+        tables = [tables[0] + np.take_along_axis(tables[1], np.maximum(w - o, 0), axis=1)]
     return (
         _freeze(lo - 1), hi, _freeze(row), _freeze(row + hi - lo + 1),
         tuple(_freeze(t.ravel()) for t in tables),
@@ -161,14 +167,21 @@ def _cell_scores(labels_by_rank, group_sizes, score) -> np.ndarray:
     n = labels_by_rank.size
     before, hi, row, row_end, tables = _cell_tables(n, group_sizes, score)
     cum = np.zeros(n + 1, dtype=np.int64)
-    for g, table in enumerate(tables[:-1]):
-        np.cumsum(labels_by_rank == g + 1, out=cum[1:])
+    np.cumsum(labels_by_rank == 1, out=cum[1:])
+    if len(tables) == 1:  # two groups: one lookup of the whole cell score
+        # with cum[i] + i (N + 1) at each end, end - start - (N + 1) is
+        # row + o, without a pass over the cells to add ``row``
+        cum += np.arange(0, (n + 1) ** 2, n + 1)
+        at = cum[hi]
+        at -= (cum + (n + 1))[before]
+        return tables[0][at]
+    o = cum[hi] - cum[before]
+    t, taken = tables[0][row + o], o
+    for g, table in enumerate(tables[1:-1], start=2):
+        np.cumsum(labels_by_rank == g, out=cum[1:])
         o = cum[hi] - cum[before]
-        if g == 0:
-            t, taken = table[row + o], o
-        else:
-            t += table[row + o]
-            taken += o
+        t += table[row + o]
+        taken += o
     t += tables[-1][row_end - taken]
     return t
 
@@ -193,15 +206,18 @@ def _sum_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
 
 def _max_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
     n = labels_by_rank.size
-    lo, hi, _ = _cell_index_cache(n)
-    # cell[a, i] = t of cell (a+1 .. i); -inf blocks empty cells so the DP
-    # only considers splits that leave every cell non-empty.
-    cell = np.full((n + 1, n + 1), -np.inf)
-    cell[lo - 1, hi] = _cell_scores(labels_by_rank, group_sizes, score)
-    best = cell[0]
+    order, a, starts = _packed_cell_cache(n)
+    t = _cell_scores(labels_by_rank, group_sizes, score)[order]
+    # best[i] is the best score of the first i ranks cut into j non-empty
+    # cells: each step extends every prefix a < i by the cell a+1 .. i, one
+    # run of cells per i.  best[0] stays -inf, as does every best[i], i < j.
+    best = np.full(n + 1, -np.inf)
+    best[1:] = t[starts]
     out = np.empty(m_max - 1)
     for j in range(2, m_max + 1):
-        best = np.max(best[:, None] + cell, axis=0)
+        vals = best[a]
+        vals += t
+        best[1:] = np.maximum.reduceat(vals, starts)
         out[j - 2] = best[n]
     return out
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
@@ -275,6 +276,32 @@ def _data_lines(fh, fields: dict[str, str]):
             yield line
 
 
+_RAGGED_ROW = re.compile(
+    r"the number of columns changed from (\d+) to (\d+) at row (\d+);.*", re.S
+)
+_BAD_TOKEN = re.compile(
+    r"could not convert string (.*) to float64 at row (\d+), column (\d+)\.", re.S
+)
+
+
+def _row_error(message: str) -> str | None:
+    """A loadtxt error as one line naming the data row and column, both from 1.
+
+    Data rows are the statistic lines only.  numpy counts a ragged row from
+    1 and a bad token's row from 0, and appends a hint to the ragged one.
+    None for any other message.
+    """
+    if ragged := _RAGGED_ROW.fullmatch(message):
+        want, got, row = map(int, ragged.groups())
+        where = f"data row {row}, column {min(want, got) + 1}"  # first one missing or extra
+        return f"{got} columns where the rows above have {want}, at {where}"
+    if bad := _BAD_TOKEN.fullmatch(message):
+        token, row, column = bad.groups()
+        where = f"data row {int(row) + 1}, column {column}"
+        return f"could not convert string {token} to a number at {where}"
+    return None
+
+
 def load_table(path: str) -> NullTable:
     """Read a ``.pnt`` file.
 
@@ -300,7 +327,13 @@ def load_table(path: str) -> NullTable:
         else:
             # one streamed C parse, correctly rounded like float(); no line is
             # a comment to it, so a '#' inside a row is a malformed token
-            data = np.loadtxt(chain((first,), lines), delimiter="\t", comments=None, ndmin=2)
+            try:
+                data = np.loadtxt(chain((first,), lines), delimiter="\t", comments=None, ndmin=2)
+            except ValueError as exc:
+                message = _row_error(str(exc))
+                if message is None:
+                    raise
+                raise ValueError(message) from None
     for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
         if key not in fields:
             raise ValueError(f"missing header key: {key}")

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from partitest import (
     ScoreKind,
     rank_with_random_ties,
 )
-from partitest.core import _count_grid, _log_table, _xlogx_table
+from partitest.core import _cell_index_cache, _count_grid, _log_table, _xlogx_table
 from partitest.nulltable import _FORMAT_MAJOR, EXACT_LIMIT, exact_enumeration_count
 
 
@@ -219,3 +220,52 @@ def reference_load_table(path: str) -> NullTable:
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite statistic in table")
     return NullTable(meta=meta, data=data)
+
+
+def reference_cell_scores(labels_by_rank, group_sizes, score: ScoreKind) -> np.ndarray:
+    """Cell scores with one table per group, added per cell in group order.
+
+    Returns t for every cell in ``_cell_index_cache`` order.  The last
+    group's count is the width minus the other groups' counts.
+    ``ksample._cell_scores`` must give these bytes.
+    """
+    n = labels_by_rank.size
+    lo, hi, _ = _cell_index_cache(n)
+    row = (hi - lo) * (n + 1)
+    w = np.arange(1, n + 1)[:, None]
+    o = np.arange(n + 1)
+    if score is ScoreKind.PEARSON:
+        tables = [((o - e) ** 2 / e).ravel() for e in (w * (ng / n) for ng in group_sizes)]
+    else:
+        xlogx, logw = _xlogx_table(n), _log_table(n)[w]
+        tables = [(xlogx - o * (logw + math.log(ng / n))).ravel() for ng in group_sizes]
+    cum = np.zeros(n + 1, dtype=np.int64)
+    for g, table in enumerate(tables[:-1]):
+        np.cumsum(labels_by_rank == g + 1, out=cum[1:])
+        o = cum[hi] - cum[lo - 1]
+        if g == 0:
+            t, taken = table[row + o], o
+        else:
+            t += table[row + o]
+            taken += o
+    t += tables[-1][row + hi - lo + 1 - taken]
+    return t
+
+
+def reference_max_values(labels_by_rank, group_sizes, score: ScoreKind, m_max: int) -> np.ndarray:
+    """The max statistic for m = 2..m_max by a DP over the full (N+1)^2 cell matrix.
+
+    cell[a, i] is the score of cell a+1 .. i, -inf where a >= i; each step
+    adds every cell to the best score of its prefix and takes column maxima.
+    ``ksample._max_values`` must give these bytes.
+    """
+    n = labels_by_rank.size
+    lo, hi, _ = _cell_index_cache(n)
+    cell = np.full((n + 1, n + 1), -np.inf)
+    cell[lo - 1, hi] = reference_cell_scores(labels_by_rank, group_sizes, score)
+    best = cell[0]
+    out = np.empty(m_max - 1)
+    for j in range(2, m_max + 1):
+        best = np.max(best[:, None] + cell, axis=0)
+        out[j - 2] = best[n]
+    return out

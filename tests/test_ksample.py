@@ -14,11 +14,23 @@ from partitest import (
     penalized_max,
     penalized_sum,
 )
-from partitest.core import partition_count
-from partitest.ksample import _penalty_terms, penalize
+from partitest.core import ScoreKind, partition_count
+from partitest.ksample import (
+    _cell_scores,
+    _max_values,
+    _penalty_terms,
+    _sum_values,
+    penalize,
+)
 from partitest.oracle import oracle_ksample
 
-from helpers import golden_grouped, golden_sweep, random_grouped_labels
+from helpers import (
+    golden_grouped,
+    golden_sweep,
+    random_grouped_labels,
+    reference_cell_scores,
+    reference_max_values,
+)
 
 
 def grouped(labels, values=None, seed=0):
@@ -301,3 +313,61 @@ class TestRowGolden:
         got = [v.hex() for v in fn(golden_grouped(n, k), score, m_max).values]
         key = f"{family},{score},n={n},k={k},m_max={'default' if m_max is None else m_max}"
         assert got == golden_sweep()["ksample_all_m"][key]
+
+
+def differential_samples(k):
+    """(labels by rank, group sizes) at N = K..40, 100 and 200.
+
+    Each N has a random sample and, where N > K, one with a one-member group.
+    """
+    rng = np.random.default_rng(500 + k)
+    for n in [*range(max(k, 2), 41), 100, 200]:
+        samples = [random_grouped_labels(rng, n, k)]
+        if n > k:
+            single = 1 + n % k
+            others = np.delete(np.arange(1, k + 1), single - 1)
+            rest = others[random_grouped_labels(rng, n - 1, k - 1) - 1]
+            samples.append(np.insert(rest, rng.integers(n), single))
+        for labels in samples:
+            yield labels, tuple(np.bincount(labels, minlength=k + 1)[1:].tolist())
+
+
+class TestAgainstReference:
+    """The cell pass and the max DP against their direct forms, by bytes."""
+
+    @pytest.mark.parametrize("score", ["lr", "pearson"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_cell_scores(self, k, score):
+        score = ScoreKind.parse(score)
+        for labels, sizes in differential_samples(k):
+            want = reference_cell_scores(labels, sizes, score)
+            assert _cell_scores(labels, sizes, score).tobytes() == want.tobytes(), sizes
+
+    @pytest.mark.parametrize("score", ["lr", "pearson"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_max_values(self, k, score):
+        score = ScoreKind.parse(score)
+        for labels, sizes in differential_samples(k):
+            n = labels.size
+            for m_max in sorted({2, n // 2 + 1, n}):
+                want = reference_max_values(labels, sizes, score, m_max)
+                assert _max_values(labels, sizes, score, m_max).tobytes() == want.tobytes(), sizes
+
+
+class TestSumCertificate:
+    # math.fsum calls of _correctly_rounded_sums over 500 seeded rows of each
+    # shape at m_max=29 when its bound was taken from sum|r|; only exact ties
+    # of the few-term m=2 and m=3 sums fall back
+    FALLBACKS = {(200, "lr"): 10, (100, "lr"): 21, (200, "pearson"): 0, (100, "pearson"): 0}
+
+    @pytest.mark.parametrize("n,score", list(FALLBACKS))
+    def test_fallbacks_stay_rare(self, monkeypatch, n, score):
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(xs) or fsum(xs))
+        base = np.repeat([1, 2], n // 2)
+        rng = np.random.default_rng(7)
+        sizes, kind = (n // 2, n // 2), ScoreKind.parse(score)
+        for _ in range(500):
+            _sum_values(rng.permutation(base), sizes, kind, 29)
+        assert len(calls) <= self.FALLBACKS[n, score]

@@ -457,6 +457,40 @@ class TestPersistence:
             with pytest.raises(ValueError, match="data shape"):
                 load_table(str(path))
 
+    @pytest.mark.parametrize(
+        "row,edit,message",
+        [
+            (1, lambda tokens: tokens[:-1],
+             "2 columns where the rows above have 3, at data row 2, column 3"),
+            (1, lambda tokens: tokens + ["0"],
+             "4 columns where the rows above have 3, at data row 2, column 4"),
+            (0, lambda tokens: [tokens[0], "x", tokens[2]],
+             "could not convert string 'x' to a number at data row 1, column 2"),
+            (2, lambda tokens: tokens[:2] + [""],
+             "could not convert string '' to a number at data row 3, column 3"),
+        ],
+    )
+    def test_parse_error_names_data_row_and_column(self, tmp_path, row, edit, message):
+        # rows and columns count from 1; blank and #key=value lines are not data rows
+        meta, data_text = FUZZ_TABLES[0]
+        path = tmp_path / "t.pnt"
+        save_table(generate_null_table(meta), str(path))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        i = FUZZ_HEADER_LINES + row
+        lines[i] = "\t".join(edit(lines[i].split("\t")))
+        lines[FUZZ_HEADER_LINES:FUZZ_HEADER_LINES] = ["", "#note=1"]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_table(str(path))
+        assert str(info.value) == message
+        data_path = tmp_path / "d.tsv"
+        data_path.write_text(data_text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(["test", "--data", str(data_path), "--table", str(path)])
+        assert code == 4
+        assert err.getvalue() == f"error: bad table file {path}: {message}\n"
+
 
 def golden_meta(**kw):
     base = dict(score="lr", group_sizes=None, b=100, seed=11)
