@@ -88,7 +88,8 @@ def _read_tsv(path: str, kind: str):
     """Parse a two-column data file; kind is 'ksample' or 'independence'."""
     left, right = [], []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the first value.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

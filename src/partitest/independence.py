@@ -381,6 +381,125 @@ class PointCells:
         return np.array([float(self._bucket_weights(m) @ self._z) for m in ms])
 
 
+# Cells scored at once by one chunk of consecutive extents of the
+# point-anchored sweep: enough to make the per-chunk calls few, few enough
+# for the chunk buffers to stay small.
+_POINT_CHUNK_CELLS = 1 << 14
+
+
+def _point_key_fields(n: int) -> tuple[int, int, int]:
+    """(row cap, count shift, bucket shift) of the packed cell keys of an N-point sweep.
+
+    A key is bucket * 2^bucket_shift + count * 2^count_shift + length.  In a
+    chunk of at most ``rows`` extents, a cell of the chunk's i-th extent has a
+    key difference holding bucket + i*5(N+1) < rows*5(N+1), a count o <= N
+    and length + i*(N+1) < rows*(N+1), each field just wide enough for its
+    largest value.  The row cap halves from N until the three fields fit in
+    62 bits, so no key and no key difference overflows int64 (any N below
+    2^19).
+    """
+    count_bits = n.bit_length()
+    rows = n
+    while True:
+        len_bits = (rows * (n + 1) - 1).bit_length()
+        bucket_bits = (rows * 5 * (n + 1) - 1).bit_length()
+        if rows == 1 or len_bits + count_bits + bucket_bits <= 62:
+            return rows, len_bits, len_bits + count_bits
+        rows //= 2
+
+
+def _point_extent_plan(a: np.ndarray, y_of_x: np.ndarray, max_rows: int):
+    """Triangle ends and chunks of every extent (rl, rh), in (rl, rh) order.
+
+    The y bounds of an extent are its bound list; a cut t (the y rank of rl
+    or rh) sits at position t less the inner points below it, read from the
+    count grid, or 0 for no cut.  The valid pairs are three triangles of
+    positions ending at c1 <= c2 <= top = nv + 1, nv being the number of
+    points outside the extent.  A chunk is a run of one rl's extents that
+    start within the same ``_POINT_CHUNK_CELLS`` cells and the same block of
+    ``max_rows`` rows.
+
+    Returns (c1, c2, before, new_chunk, capacity): before counts the cells of
+    the earlier extents, new_chunk flags each chunk's first extent, and
+    capacity is the most cells of any chunk.
+    """
+    n = a.shape[0] - 1
+    tri_i, tri_j = _pair_index_cache(n + 2)
+    is_extent = tri_j - tri_i >= 2
+    rls = tri_i[is_extent]
+    rhs = tri_j[is_extent]
+
+    def cut_position(x, valid):
+        t = y_of_x[x]
+        return np.where(valid, t - a[rhs - 1, t - 1] + a[rls, t - 1], 0)
+
+    cu = cut_position(rls, rls >= 1)
+    cv = cut_position(rhs, rhs <= n)
+    c1 = np.minimum(cu, cv)
+    c2 = np.maximum(cu, cv)
+    top = n + 2 + rls - rhs
+    cells = (c1 * (c1 + 1) + (c2 - c1) * (c2 - c1 + 1) + (top - c2) * (top - c2 + 1)) // 2
+    rows = rhs - rls - 2
+    before = np.cumsum(cells) - cells
+    budget = (before - before[rows == 0][rls]) // _POINT_CHUNK_CELLS
+    block = rows // max_rows
+    new_chunk = rows == 0
+    new_chunk[1:] |= (budget[1:] != budget[:-1]) | (block[1:] != block[:-1])
+    starts = np.flatnonzero(new_chunk)
+    capacity = int(np.diff(before[starts], append=before[-1] + cells[-1]).max())
+    return c1, c2, before, new_chunk, capacity
+
+
+def _point_bound_keys(a, y_of_x, rl, offsets, count_shift, bucket_shift):
+    """Packed parts of a cell bounded below (lo) and above (hi) by each y bound.
+
+    Row i of each (N - rl, N+2) table is the extent (rl, rl + 2 + i); column
+    s is the y bound s.  A cell's bucket, count o and y length, packed as in
+    :func:`_point_key_fields`, are hi[sh] - lo[sl], and row i of ``hi`` also
+    carries offsets[i] in the bucket and length fields.  A cell's bucket is
+    k * (N+1) + its outer count.  k counts rl and rh inside the axis, a lower
+    y bound s >= 1 and an upper one s <= N, less the bounds that are the y
+    ranks of rl or rh; the outer count is the outside points below the lower
+    bound and above the upper.  Its count is the inner points with y in
+    (sl, sh), and its length sh - sl - 1.
+    """
+    n = a.shape[0] - 1
+    rh = np.arange(rl + 2, n + 2)
+    rows = np.arange(rh.size)
+    ys = np.arange(n + 2)
+    # outside[i, s]: the points with x < rl or x > rh and y <= s.
+    outside = a[np.minimum(rh, n)]
+    np.subtract(a[n], outside, out=outside)
+    if rl >= 1:
+        outside += a[rl - 1]
+    inner = a[rh - 1]
+    inner -= a[rl]
+    inner <<= count_shift
+    step = n + 1
+    lo = np.zeros((rh.size, n + 2), dtype=np.int64)
+    lo[:, 1:] = outside
+    lo += step * (int(rl >= 1) + (rh <= n))[:, None]
+    lo[:, 1:] += step
+    hi = np.zeros((rh.size, n + 2), dtype=np.int64)
+    hi[:, : n + 1] = outside[:, n:]
+    hi[:, : n + 1] -= outside
+    hi[:, : n + 1] += step
+    hi += (5 * step * offsets)[:, None]
+    # Bounds at the y ranks of rl and rh count one defining point less.
+    for table in (lo, hi):
+        if rl >= 1:
+            table[:, y_of_x[rl]] -= step
+        table[rows[:-1], y_of_x[rh[:-1]]] -= step
+    lo *= -(1 << bucket_shift)
+    lo[:, : n + 1] += inner
+    lo += ys
+    hi *= 1 << bucket_shift
+    hi[:, 1:] += inner
+    hi += ys - 1
+    hi += (step * offsets)[:, None]
+    return lo, hi
+
+
 def _point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty: bool):
     """Valid point-anchored cells bucketed by (defining points k, outer count).
 
@@ -395,98 +514,143 @@ def _point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty: bool):
     For each x extent (rl, rh) the y bounds are the y ranks of the points
     outside it, plus 0 and N+1, and a pair of them is valid iff no y cut of
     rl or rh lies strictly between: the pairs of three triangles of bound
-    positions, split at the two cuts.  Only those pairs are enumerated, in
-    lexicographic order, and each integer term of a cell (bucket, count o,
-    y length) is the hi-bound part less the lo-bound part.
+    positions, split at the two cuts (:func:`_point_extent_plan`).  Only
+    those pairs are enumerated, in lexicographic order.  A cell's bucket,
+    count o and y length are one packed key difference, hi-bound key less
+    lo-bound key (:func:`_point_bound_keys`), split by shifts and masks.
+    Each triangle is one gather per end: the tail of the cached pair
+    triangle read through a view of the extent's compacted keys.
+
+    Extents are scored a chunk of consecutive rh at a time.  The hi keys of
+    a chunk's i-th extent carry i in the bucket and length fields, so one
+    bincount gives every extent's per-bucket sums, and one lookup its
+    (width, length) terms.
 
     Returns flat (5*(N+1),) buckets: for the likelihood ratio U sums
     o*log(o) - o*log(inner_area) and V sums o; for Pearson U sums
     o^2/inner_area, V sums o and W sums inner_area.  Z counts non-empty cells.
-    U is summed in the order of a per-cell loop: one bincount per (rl, rh),
-    in (rl, rh) order, over cells in lexicographic order.  V, W and Z are
-    sums of integers, exact in any order.  Cells with empty interior (y
-    length 0) are enumerated too; they add exact zeros.
+    U is summed in the order of a per-cell loop: per (rl, rh), in (rl, rh)
+    order, a sum from 0.0 over the extent's cells in lexicographic order is
+    added into U.  V, W and Z are sums of integers, exact in any order.
+    Cells with empty interior (y length 0) are enumerated too; they add
+    exact zeros.
     """
     n = yx.size
     a = _count_grid(yx).a
     lr = score is ScoreKind.LIKELIHOOD_RATIO
-    lut = _xlogx_table(n)
-    loglen = _log_table(n)
     # -1 at the axis boundaries 0 and N+1: no cut there.
     y_of_x = np.full(n + 2, -1, dtype=np.int64)
     y_of_x[1 : n + 1] = yx
+    # 0 at the y bounds 0 and N+1, which bound every extent.
+    x_of_y = np.zeros(n + 2, dtype=np.int64)
+    x_of_y[yx] = np.arange(1, n + 1)
     nbuck = 5 * (n + 1)
+    npos = n + 2
     u_acc = np.zeros(nbuck)
     v_acc = np.zeros(nbuck)
     w_acc = np.zeros(nbuck) if not lr else None
     z_acc = np.zeros(nbuck) if with_nonempty else None
-    npos = n + 2
+    max_rows, count_shift, bucket_shift = _point_key_fields(n)
+    count_mask = (1 << (bucket_shift - count_shift)) - 1
+    len_mask = (1 << count_shift) - 1
+    # Row r of rl's extents has width r + 1, so the (row, length) terms of a
+    # chunk starting at row r0 are a view of one table.
+    widths = np.arange(1, n + 1)
+    if lr:
+        lut = _xlogx_table(n)
+        len_terms = np.add.outer(_log_table(n)[widths], _log_table(n)).ravel()
+    else:
+        areas = np.multiply.outer(widths, np.arange(n + 1)).astype(float).ravel()
+        divisors = np.where(areas > 0, areas, np.inf)
+    c1s, c2s, before, new_chunk, capacity = _point_extent_plan(a, y_of_x, max_rows)
     # The triangle of s positions is the last s(s-1)/2 pairs of this one,
     # shifted down by npos - s.
     tri_i, tri_j = _pair_index_cache(npos)
     ntri = tri_i.size
-    ys = np.arange(npos)
+    # One rl's compacted keys behind npos entries of padding, so that the
+    # view of a triangle ending at position hi starts at hi + 1 of its row.
+    lo_keys = np.empty(npos + npos * (n + 1) // 2, dtype=np.int64)
+    hi_keys = np.empty_like(lo_keys)
+    # Chunk buffers.  cell_buf holds hi keys, then cell keys, then length
+    # keys, then float terms; buck_buf holds lo keys, then buckets.
+    cell_buf = np.empty(capacity, dtype=np.int64)
+    buck_buf = np.empty(capacity, dtype=np.int64)
+    o_buf = np.empty(capacity, dtype=np.int64)
+    g_buf = np.empty(capacity)
+
+    def bucket_rows(buck, weights, nrow):
+        # Row i: the chunk's i-th extent, each bucket summed in cell order.
+        return np.bincount(buck, weights=weights, minlength=nrow * nbuck).reshape(nrow, nbuck)
+
+    e0 = 0
     for rl in range(n):
-        u_cut = y_of_x[rl]
-        rhs = np.arange(rl + 2, n + 2)
-        v_cuts = y_of_x[rhs]
-        # outside[rh, s]: the points with x < rl or x > rh and y <= s.
-        outside = a[n] - a[np.minimum(rhs, n)]
-        if rl >= 1:
-            outside += a[rl - 1]
-        out_tot = outside[:, n:]
-        at_cut = (ys == u_cut).astype(np.int64) + (ys == v_cuts[:, None])
-        k_base = int(rl >= 1) + (rhs <= n)[:, None]
-        # A cell's bucket is k * (N+1) + its outer count.  k counts rl and rh
-        # inside the axis, a lower y bound s >= 1 and an upper one s <= N,
-        # less the bounds that are the y ranks of rl or rh; the outer count
-        # is the outside points below the lower bound and above the upper.
-        # Per rh and y bound s: the (bucket, count, length) part of a cell
-        # bounded below by s (negated) and of one bounded above by s.
-        lo_end = np.zeros((rhs.size, 3, npos), dtype=np.int64)
-        hi_end = np.zeros((rhs.size, 3, npos), dtype=np.int64)
-        lo_end[:, 0] = -(n + 1) * (k_base + (ys >= 1) - at_cut)
-        lo_end[:, 0, 1:] -= outside
-        hi_end[:, 0, : n + 1] = out_tot - outside
-        hi_end[:, 0] += (n + 1) * ((ys <= n) - at_cut)
-        diff = a[rhs - 1] - a[rl]
-        lo_end[:, 1, : n + 1] = diff
-        hi_end[:, 1, 1:] = diff
-        lo_end[:, 2] = ys
-        hi_end[:, 2] = ys - 1
+        ext = slice(e0, e0 + n - rl)
+        e0 = ext.stop
+        rows = np.arange(n - rl)
+        chunk_row = np.maximum.accumulate(np.where(new_chunk[ext], rows, 0))
+        lo, hi = _point_bound_keys(a, y_of_x, rl, rows - chunk_row, count_shift, bucket_shift)
         # The y bounds of (rl, rh): the y ranks of points with x outside it.
-        bound = np.ones(npos, dtype=bool)
-        for r, rh in enumerate(rhs):
-            bound[y_of_x[rh - 1]] = False
-            svals = np.flatnonzero(bound)
-            nv = svals.size - 2
-            c1, c2 = sorted(int(i) for i in np.searchsorted(svals, (u_cut, v_cuts[r])))
-            blocks = ((0, c1), (c1, c2), (c2, nv + 1))
-            tris = [(hi, (hi - lo) * (hi - lo + 1) // 2) for lo, hi in blocks]
-            ii = np.empty(sum(cnt for _, cnt in tris), dtype=np.int64)
-            jj = np.empty(ii.size, dtype=np.int64)
-            pos = 0
-            for hi, cnt in tris:
-                if cnt:
-                    np.add(tri_i[ntri - cnt :], hi + 1 - npos, out=ii[pos : pos + cnt])
-                    np.add(tri_j[ntri - cnt :], hi + 1 - npos, out=jj[pos : pos + cnt])
-                    pos += cnt
-            cell = np.take(np.take(hi_end[r], svals, axis=1), jj, axis=1)
-            cell -= np.take(np.take(lo_end[r], svals, axis=1), ii, axis=1)
-            buck, o, length = cell
-            width = rh - rl - 1
+        keep = ((x_of_y <= rl) | (x_of_y >= rows[:, None] + rl + 2)).ravel()
+        row_len = n + 1 - rows
+        stop = npos + int(row_len.sum())
+        np.compress(keep, lo.ravel(), out=lo_keys[npos:stop])
+        np.compress(keep, hi.ravel(), out=hi_keys[npos:stop])
+        # Per nonempty triangle, in sweep order: where its view starts in the
+        # compacted keys, where its pairs start in the pair triangle, and the
+        # span its cells take in the chunk buffers.
+        ends = np.stack((c1s[ext], c2s[ext], n - rows), axis=1)
+        steps = np.diff(ends, axis=1, prepend=0)
+        tri_cells = (steps * (steps + 1) // 2).ravel()
+        live = tri_cells > 0
+        view = (np.cumsum(row_len) - row_len)[:, None] + ends + 1
+        dest_end = np.cumsum(tri_cells) - np.repeat(before[ext][chunk_row] - before[ext.start], 3)
+        triangles = list(
+            zip(
+                view.ravel()[live].tolist(),
+                (ntri - tri_cells[live]).tolist(),
+                (dest_end - tri_cells)[live].tolist(),
+                dest_end[live].tolist(),
+            )
+        )
+        # Live triangles before each row, and each chunk's first row.
+        tri_before = [0, *np.cumsum(live.reshape(-1, 3).sum(axis=1)).tolist()]
+        chunk_rows = [*np.flatnonzero(new_chunk[ext]).tolist(), rows.size]
+        for r0, r1 in zip(chunk_rows, chunk_rows[1:]):
+            # Every index is in range, and mode="wrap" skips the bounds check.
+            for v, tail, p, q in triangles[tri_before[r0] : tri_before[r1]]:
+                hi_keys[v:].take(tri_j[tail:], out=cell_buf[p:q], mode="wrap")
+                lo_keys[v:].take(tri_i[tail:], out=buck_buf[p:q], mode="wrap")
+            cell = cell_buf[:q]
+            np.subtract(cell, buck_buf[:q], out=cell)
+            buck = np.right_shift(cell, bucket_shift, out=buck_buf[:q])
+            o = np.right_shift(cell, count_shift, out=o_buf[:q])
+            o &= count_mask
+            cell &= len_mask
+            nrow = r1 - r0
+            terms = slice(r0 * (n + 1), None)
+            g = g_buf[:q]
             if lr:
-                val = lut[o] - o * (loglen[width] + loglen[length])
-                u_acc += np.bincount(buck, weights=val, minlength=nbuck)
-                v_acc += np.bincount(buck, weights=o, minlength=nbuck)
+                np.take(len_terms[terms], cell, out=g)
+                g *= o
             else:
-                area = (width * length).astype(float)
-                ratio = np.divide(o * o, area, out=np.zeros(area.size), where=length > 0)
-                u_acc += np.bincount(buck, weights=ratio, minlength=nbuck)
-                v_acc += np.bincount(buck, weights=o, minlength=nbuck)
-                w_acc += np.bincount(buck, weights=area, minlength=nbuck)
+                np.take(areas[terms], cell, out=g)
+                w_acc += bucket_rows(buck, g, nrow).sum(axis=0)
+                np.take(divisors[terms], cell, out=g)
+            # The length keys are spent: cell_buf now holds float terms.
+            f = cell.view(np.float64)
+            if lr:
+                np.take(lut, o, out=f)
+                f -= g
+            else:
+                np.multiply(o, o, out=f)
+                f /= g
+            for row in bucket_rows(buck, f, nrow):
+                u_acc += row
+            np.copyto(g, o)
+            v_acc += bucket_rows(buck, g, nrow).sum(axis=0)
             if with_nonempty:
-                z_acc += np.bincount(buck, weights=o > 0, minlength=nbuck)
+                np.greater(o, 0, out=g)
+                z_acc += bucket_rows(buck, g, nrow).sum(axis=0)
     return u_acc, v_acc, w_acc, z_acc
 
 

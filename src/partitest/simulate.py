@@ -47,9 +47,13 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.problem not in ("ksample", "independence"):
             raise ValueError(f"unknown problem: {self.problem!r}")
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
         if self.problem == "ksample":
             if not self.group_sizes or sum(self.group_sizes) != self.n:
                 raise ValueError("group sizes must sum to N")
+            if min(self.group_sizes) < 1:
+                raise ValueError("group sizes must be positive")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not 0.0 < self.alpha < 1.0:
@@ -169,7 +173,8 @@ def parse_scenario_file(
     forming a positive-definite matrix, and ``noise`` is non-negative.
     """
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark is not part of the first key.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

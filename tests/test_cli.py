@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partitest.cli import main
 
@@ -447,3 +453,242 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--scenario", "null-equal", "--n", "8")
         assert code == 1
         assert "--table" in err
+
+
+BOM = b"\xef\xbb\xbf"
+SCENARIO_TEXT = (
+    "name=fz\nproblem=independence\nfamily=shape\nshape=sine\nnoise=0.5\nfrequency=2\nn=12\n"
+)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file changes nothing."""
+
+    def run_pair(self, capsys, tmp_path, text, argv_for):
+        results = []
+        for prefix in (b"", BOM):
+            path = tmp_path / f"in{len(prefix)}.txt"
+            path.write_bytes(prefix + text.encode("utf-8"))
+            results.append(run_cli(capsys, *argv_for(str(path))))
+        return results
+
+    def test_mi_data(self, tmp_path, capsys):
+        text = "0.1\t0.2\n0.3\t0.1\n0.2\t0.4\n0.5\t0.3\n0.4\t0.6\n"
+        plain, bom = self.run_pair(
+            capsys, tmp_path, text, lambda p: ("mi", "--data", p, "--m", "2", "--format", "jsonl")
+        )
+        assert plain[0] == 0
+        assert bom == plain
+
+    def test_test_data(self, exact_table, tmp_path, capsys):
+        text = "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n"
+        plain, bom = self.run_pair(
+            capsys, tmp_path, text, lambda p: ("test", "--data", p, "--table", str(exact_table))
+        )
+        assert plain[0] == 0
+        assert bom == plain
+
+    def test_scenario_file(self, tmp_path, capsys):
+        plain, bom = self.run_pair(
+            capsys, tmp_path, SCENARIO_TEXT, lambda p: ("simulate", "--params", p, "--emit")
+        )
+        assert plain[0] == 0 and plain[1].count("\n") == 12
+        assert bom == plain
+
+
+class TestScenarioSizes:
+    @pytest.mark.parametrize(
+        "edit",
+        [("n=12", "n=-3"), ("n=12", "n=0")],
+    )
+    def test_non_positive_n_exits_4(self, tmp_path, capsys, edit):
+        params = tmp_path / "scn.txt"
+        params.write_text(SCENARIO_TEXT.replace(*edit))
+        code, out, err = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: bad scenario file: n must be positive")
+        assert err.count("\n") == 1
+
+    def test_negative_group_exits_4(self, tmp_path, capsys):
+        params = tmp_path / "scn.txt"
+        params.write_text(
+            "name=g\nproblem=ksample\nfamily=gauss\nn=10\ngroups=-5,15\n"
+            "mu1=0\nsigma1=1\nmu2=1\nsigma2=1\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        assert code == 4
+        assert out == ""
+        assert err == "error: bad scenario file: group sizes must be positive\n"
+
+    def test_negative_n_option_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "null-equal", "--n", "-4", "--emit"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: n must be positive, got -4\n"
+
+
+# Reader fuzz: data and scenario files with edited tokens, tabs and lines,
+# stray bytes, a byte-order mark and other line endings.
+FUZZ_VALUES = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "", " ", "x", "0", "-0", "-3", "1", "2", "3",
+     "0.5", " 2.5 ", "1e-400", "0x10", "1,5", "#"]
+)
+FUZZ_READER_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("value"), st.integers(0, 10**6), st.integers(0, 3), FUZZ_VALUES),
+        st.tuples(st.just("tab"), st.integers(0, 10**6), st.integers(0, 40)),
+        st.tuples(st.just("untab"), st.integers(0, 10**6)),
+        st.tuples(
+            st.just("insert"),
+            st.integers(0, 10**6),
+            st.sampled_from(["", " ", "\t", "#", "# note", "#x=1", "=", "x\ty\tz"]),
+        ),
+        st.tuples(
+            st.just("bytes"),
+            st.integers(0, 10**6),
+            st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\x00"]),
+        ),
+        st.tuples(st.just("empty_body")),
+    ),
+    max_size=4,
+)
+
+
+def mutated_reader_bytes(text, separator, edits, bom, newline):
+    """``text``'s lines with values (split at ``separator``), tabs, lines or bytes edited."""
+    lines = text.split("\n")[:-1]
+    raw_edits = []
+    for edit in edits:
+        kind = edit[0]
+        if kind == "empty_body":
+            lines = []
+        elif kind == "bytes":
+            raw_edits.append(edit)
+        elif kind == "insert":
+            lines.insert(edit[1] % (len(lines) + 1), edit[2])
+        elif lines:
+            i = edit[1] % len(lines)
+            if kind == "value":
+                parts = lines[i].split(separator)
+                parts[edit[2] % len(parts)] = edit[3]
+                lines[i] = separator.join(parts)
+            elif kind == "tab":
+                at = edit[2] % (len(lines[i]) + 1)
+                lines[i] = lines[i][:at] + "\t" + lines[i][at:]
+            else:
+                lines[i] = lines[i].replace("\t", "", 1)
+    data = "".join(line + newline for line in lines).encode("utf-8")
+    for _, pos, junk in raw_edits:
+        at = pos % (len(data) + 1)
+        data = data[:at] + junk + data[at:]
+    return (BOM if bom else b"") + data
+
+
+@pytest.fixture(scope="module")
+def fuzz_tables(tmp_path_factory):
+    """A two-sample exact table (N=4) and an independence table (N=4)."""
+    out = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, argv in (
+        ("ksample", ["--problem", "ksample", "--groups", "2,2", "--m-max", "3", "--B", "100"]),
+        (
+            "independence",
+            ["--problem", "independence", "--family", "adp-sum", "--n", "4"]
+            + ["--m-max", "2", "--B", "100"],
+        ),
+    ):
+        paths[name] = str(out / f"{name}.pnt")
+        with redirect_stdout(io.StringIO()):
+            assert main(["nulltable", *argv, "--seed", "1", "--out", paths[name]]) == 0
+    return paths
+
+
+FUZZ_DATA = {
+    "ksample": "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n",
+    "independence": "1\t4\n2\t3\n3\t1\n4\t2\n",
+}
+FUZZ_SCENARIOS = [
+    SCENARIO_TEXT,
+    "name=g\nproblem=ksample\nfamily=gauss\nn=6\ngroups=3,3\nmu1=0\nsigma1=1\nmu2=1\nsigma2=2\n",
+    "name=m\nproblem=independence\nfamily=mixture2d\nn=8\nweight1=0.5\n"
+    "mean1=0,0\ncov1=1,0.5,1\nmean2=1,1\ncov2=1,0,1\n",
+]
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err, allowed):
+    """Exit 0 with a silent stderr, or a documented code with one error line."""
+    assert code in allowed, (code, err)
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestReaderFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        problem=st.sampled_from(sorted(FUZZ_DATA)),
+        command=st.sampled_from(["test", "mi"]),
+        edits=FUZZ_READER_EDITS,
+        bom=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    @example(problem="independence", command="mi", edits=[], bom=True, newline="\r\n")
+    @example(problem="ksample", command="test", edits=[("empty_body",)], bom=True, newline="\n")
+    @example(
+        problem="independence", command="test", edits=[("value", 1, 1, "1e400")], bom=False,
+        newline="\n",
+    )
+    @example(
+        problem="independence", command="mi", edits=[("bytes", 5, b"\xff")], bom=True, newline="\n"
+    )
+    @example(problem="ksample", command="test", edits=[("tab", 0, 1)], bom=False, newline="\n")
+    @example(problem="ksample", command="test", edits=[("untab", 2)], bom=False, newline="\n")
+    def test_data_files(self, fuzz_tables, problem, command, edits, bom, newline):
+        data = mutated_reader_bytes(FUZZ_DATA[problem], "\t", edits, bom, newline)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.tsv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            if command == "test":
+                result = run_main(["test", "--data", path, "--table", fuzz_tables[problem]])
+                allowed = {0, 2, 4}
+            else:
+                result = run_main(["mi", "--data", path, "--m", "2"])
+                allowed = {0, 4}
+        assert_clean_exit(*result, allowed)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=st.sampled_from(range(len(FUZZ_SCENARIOS))),
+        edits=FUZZ_READER_EDITS,
+        bom=st.booleans(),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    @example(case=0, edits=[], bom=True, newline="\r\n")
+    @example(case=1, edits=[("empty_body",)], bom=False, newline="\n")
+    @example(case=0, edits=[("value", 6, 1, "-0")], bom=False, newline="\n")
+    @example(case=0, edits=[("value", 6, 1, "-3")], bom=False, newline="\n")
+    @example(case=2, edits=[("value", 5, 1, "1e400")], bom=False, newline="\n")
+    @example(case=1, edits=[("bytes", 0, b"\xc3")], bom=True, newline="\n")
+    def test_scenario_files(self, case, edits, bom, newline):
+        data = mutated_reader_bytes(FUZZ_SCENARIOS[case], "=", edits, bom, newline)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            result = run_main(["simulate", "--params", path, "--emit"])
+        assert_clean_exit(*result, {0, 4})

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -23,7 +25,13 @@ from partitest import (
     penalized_adp_sum,
     rank_with_random_ties,
 )
-from partitest.independence import GridCells, _grid_m2_partition_scores, _point_cell_tables
+from partitest import independence
+from partitest.independence import (
+    GridCells,
+    _grid_m2_partition_scores,
+    _point_cell_tables,
+    _point_key_fields,
+)
 from partitest.core import _count_grid, _pair_index_cache, cumulative_count_grid
 from partitest.oracle import oracle_adp, oracle_ddp, oracle_hhg
 
@@ -194,6 +202,26 @@ POINT_TABLE_CASES = [
     (41, "random", ScoreKind.LIKELIHOOD_RATIO, True),
 ]
 
+# The point tables again with the chunk budget at its two extremes.
+CHUNK_BUDGET_CASES = [
+    *POINT_TABLE_CASES,
+    (64, "random", ScoreKind.LIKELIHOOD_RATIO, True),
+    (100, "random", ScoreKind.PEARSON, False),
+]
+
+
+@lru_cache(maxsize=None)
+def point_reference(n, layout, score, nonempty):
+    _, yx = golden_layout(n, layout)
+    return yx, reference_point_cell_tables(yx, score, nonempty)
+
+
+def assert_same_tables(got, ref):
+    for table, want in zip(got, ref, strict=True):
+        assert (table is None) == (want is None)
+        if want is not None:
+            assert table.tobytes() == want.tobytes()
+
 
 class TestSweepTables:
     """The vectorised sweeps against their per-span loops, byte for byte."""
@@ -209,12 +237,64 @@ class TestSweepTables:
 
     @pytest.mark.parametrize("n,layout,score,nonempty", POINT_TABLE_CASES)
     def test_point_tables(self, n, layout, score, nonempty):
-        _, yx = golden_layout(n, layout)
-        got = _point_cell_tables(yx, score, nonempty)
-        for table, ref in zip(got, reference_point_cell_tables(yx, score, nonempty)):
-            assert (table is None) == (ref is None)
-            if ref is not None:
-                assert table.tobytes() == ref.tobytes()
+        yx, ref = point_reference(n, layout, score, nonempty)
+        assert_same_tables(_point_cell_tables(yx, score, nonempty), ref)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["extent-chunks", "row-cap-chunks"])
+    @pytest.mark.parametrize("n,layout,score,nonempty", CHUNK_BUDGET_CASES)
+    def test_point_tables_at_chunk_extremes(self, monkeypatch, budget, n, layout, score, nonempty):
+        # Budget 1: every extent is its own chunk.  Budget 2^40: a chunk is
+        # as many of one rl's extents as the row cap allows.
+        yx, ref = point_reference(n, layout, score, nonempty)
+        monkeypatch.setattr(independence, "_POINT_CHUNK_CELLS", budget)
+        assert_same_tables(_point_cell_tables(yx, score, nonempty), ref)
+
+    def test_point_key_fields_fit_int64(self):
+        n = 10**4
+        rows, count_shift, bucket_shift = _point_key_fields(n)
+        count_bits = bucket_shift - count_shift
+        nbuck = 5 * (n + 1)
+        # The count field is just wide enough for o <= N, and the length and
+        # bucket fields hold a chunk of `rows` extents.
+        assert 2 ** (count_bits - 1) <= n < 2**count_bits
+        assert rows * (n + 1) <= 2**count_shift
+        assert (rows * nbuck - 1) < 2 ** (62 - bucket_shift)
+        # The cap binds at this N, and twice the rows would not fit.
+        assert 1 <= rows < n
+        wider = (2 * rows * (n + 1) - 1).bit_length() + count_bits
+        assert wider + (2 * rows * nbuck - 1).bit_length() > 62
+        # Extreme parts survive packing, subtraction and unpacking in int64:
+        # the hi bucket part of the last row of a chunk, the most negative lo
+        # bucket part, and the largest difference of every field.
+        lo_parts = [(-(4 * n + 3), 0, 0), (-(4 * n + 3), n, n + 1), (0, n, n + 1)]
+        diffs = [(rows * nbuck - 1, n, rows * (n + 1) - 1), (0, 0, 0), (rows * nbuck - 1, 0, 0)]
+        lo, hi = [], []
+        for (lb, lc, ll), (db, dc, dl) in zip(lo_parts, diffs):
+            lo.append((lb << bucket_shift) + (lc << count_shift) + ll)
+            hi.append(((lb + db) << bucket_shift) + ((lc + dc) << count_shift) + ll + dl)
+        assert all(-(2**63) <= k < 2**63 for k in lo + hi)
+        cell = np.array(hi, dtype=np.int64) - np.array(lo, dtype=np.int64)
+        assert (cell >> bucket_shift).tolist() == [d[0] for d in diffs]
+        assert ((cell >> count_shift) & (2**count_bits - 1)).tolist() == [d[1] for d in diffs]
+        assert (cell & (2**count_shift - 1)).tolist() == [d[2] for d in diffs]
+
+    def test_point_sweep_memory_bound(self):
+        # One N=150 sweep's allocations peak at 2.7 MB with per-extent
+        # scoring; chunk scoring may add chunk buffers, up to 4 MB in all,
+        # counting the per-N caches the sweep may fill.
+        _, yx = golden_layout(150, "random")
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _point_cell_tables(yx, ScoreKind.LIKELIHOOD_RATIO, True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
     def test_point_sweep_keeps_one_pair_triangle(self):
         _pair_index_cache.cache_clear()
