@@ -59,6 +59,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def seeded_generator(entropy) -> np.random.Generator:
+    """The generator of every seeded draw: Philox keyed by ``entropy`` (int or tuple)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
 def _check_permutation(ranks: np.ndarray) -> None:
     n = ranks.size
     if n == 0:
@@ -112,8 +117,7 @@ def rank_with_random_ties(values, tie_seed: int = 0) -> RankedSample:
     order = np.argsort(arr, kind="stable")
     ordered = arr[order]
     if (ordered[1:] == ordered[:-1]).any():  # equal values, -0.0 and 0.0 included
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(tie_seed)))
-        order = np.lexsort((rng.permutation(n), arr))
+        order = np.lexsort((seeded_generator(tie_seed).permutation(n), arr))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
     return RankedSample(ranks=ranks, n=n, tie_seed=tie_seed)

@@ -25,7 +25,7 @@ from itertools import chain, islice
 import numpy as np
 
 from . import ksample as _ks
-from .core import GroupedSample, ScoreKind, _freeze, chunk_map, y_by_x
+from .core import GroupedSample, ScoreKind, _freeze, chunk_map, seeded_generator, y_by_x
 from .independence import SUM_CELLS
 from .ksample import PriorSpec, penalize
 
@@ -171,9 +171,8 @@ def _row_statistics(meta: NullTableMeta, arrangement: np.ndarray) -> np.ndarray:
     return cells.contract(range(2, meta.m_max + 1))
 
 
-def _mc_arrangement(meta: NullTableMeta, index: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((meta.seed, index))))
-    return rng.permutation(_base_labels(meta))
+def _mc_arrangement(meta: NullTableMeta, index: int, base: np.ndarray) -> np.ndarray:
+    return seeded_generator((meta.seed, index)).permutation(base)
 
 
 def _multiset_permutations(base: list[int]):
@@ -196,10 +195,11 @@ def _multiset_permutations(base: list[int]):
 
 def _rows(meta: NullTableMeta, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1: replicates by index, or the enumeration in order when exact."""
+    base = _base_labels(meta)
     if meta.exact:
-        arrangements = islice(_multiset_permutations(_base_labels(meta).tolist()), start, stop)
+        arrangements = islice(_multiset_permutations(base.tolist()), start, stop)
     else:
-        arrangements = (_mc_arrangement(meta, b) for b in range(start, stop))
+        arrangements = (_mc_arrangement(meta, b, base) for b in range(start, stop))
     rows = np.empty((stop - start, meta.m_max - 1))
     for i, arr in enumerate(arrangements):
         rows[i] = _row_statistics(meta, np.asarray(arr, dtype=np.int64))

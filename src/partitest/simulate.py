@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .core import GroupedSample, chunk_map, rank_with_random_ties
+from .core import GroupedSample, chunk_map, rank_with_random_ties, seeded_generator
 from .ksample import PriorSpec
 from .nulltable import NullTable, run_test
 
@@ -39,12 +39,15 @@ class ScenarioSpec:
     problem: str  # "ksample" | "independence"
     n: int
     group_sizes: tuple[int, ...] | None
-    params: tuple  # sorted (key, value) pairs; values are floats or tuples
+    params: tuple  # ("family", name) then sorted (key, value) pairs; values are floats or tuples
     seed: int
     replicates: int
     alpha: float
 
     def __post_init__(self):
+        family = dict(self.params).get("family")
+        if family not in _FAMILY_PROBLEMS:
+            raise ValueError(f"unknown scenario family: {family!r}")
         if self.problem not in ("ksample", "independence"):
             raise ValueError(f"unknown problem: {self.problem!r}")
         if self.n < 1:
@@ -58,6 +61,13 @@ class ScenarioSpec:
             raise ValueError("need at least one replicate")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if _FAMILY_PROBLEMS[family] != self.problem:
+            raise ValueError(f"family {family!r} belongs to the {_FAMILY_PROBLEMS[family]} problem")
+        if family == "gauss" and len(self.group_sizes) != len(self.param("mu")):
+            raise ValueError(
+                f"family 'gauss' needs {len(self.param('mu'))} group sizes, "
+                f"got {len(self.group_sizes)}"
+            )
 
     def param(self, key: str):
         for k, v in self.params:
@@ -66,47 +76,26 @@ class ScenarioSpec:
         raise KeyError(key)
 
 
-# Two-sample Gaussian setups pin one alternative per name (the N=100
+# The problem each family's data belongs to.
+_FAMILY_PROBLEMS = {
+    "gauss": "ksample",
+    "uniform-independent": "independence",
+    "mixture2d": "independence",
+    "shape": "independence",
+}
+
+# Each built-in is the family fields of the scenario file it equals.  The
+# two-sample Gaussian setups pin one alternative per name (the N=100
 # benchmark parameters) for every N, so power comparisons across sample
-# sizes isolate N itself.
-_BUILTINS: dict[str, dict] = {
-    "gauss-shift": {
-        "problem": "ksample",
-        "family": "gauss",
-        "params": {"mu": (0.0, 0.5), "sigma": (1.0, 1.0)},
-    },
-    "gauss-scale": {
-        "problem": "ksample",
-        "family": "gauss",
-        "params": {"mu": (0.0, 0.0), "sigma": (1.0, 0.6)},
-    },
-    "gauss-shift-scale": {
-        "problem": "ksample",
-        "family": "gauss",
-        "params": {"mu": (0.0, 0.36), "sigma": (1.0, 0.7)},
-    },
-    "null-equal": {
-        "problem": "ksample",
-        "family": "gauss",
-        "params": {"mu": (0.0, 0.0), "sigma": (1.0, 1.0)},
-    },
-    "null-uniform": {
-        "problem": "independence",
-        "family": "uniform-independent",
-        "params": {},
-    },
-    # Bivariate two-component Gaussian mixture used for the MI benchmark.
-    "gauss-mixture-2d": {
-        "problem": "independence",
-        "family": "mixture2d",
-        "params": {
-            "weight1": 0.8,
-            "mean1": (0.5, 0.5),
-            "cov1": (0.05, 0.025, 0.05),  # (var_x, cov_xy, var_y)
-            "mean2": (-0.125, 0.675),
-            "cov2": (0.01, 0.0, 0.01),
-        },
-    },
+# sizes isolate N itself; gauss-mixture-2d is the MI benchmark's mixture.
+_BUILTINS = {
+    "gauss-shift": "family=gauss mu1=0 sigma1=1 mu2=0.5 sigma2=1",
+    "gauss-scale": "family=gauss mu1=0 sigma1=1 mu2=0 sigma2=0.6",
+    "gauss-shift-scale": "family=gauss mu1=0 sigma1=1 mu2=0.36 sigma2=0.7",
+    "null-equal": "family=gauss mu1=0 sigma1=1 mu2=0 sigma2=1",
+    "null-uniform": "family=uniform-independent",
+    "gauss-mixture-2d": "family=mixture2d weight1=0.8 mean1=0.5,0.5 cov1=0.05,0.025,0.05 "
+    "mean2=-0.125,0.675 cov2=0.01,0,0.01",
 }
 
 _SHAPES = ("circle", "sine", "line")
@@ -116,83 +105,20 @@ def builtin_scenarios() -> tuple[str, ...]:
     return tuple(sorted(_BUILTINS))
 
 
-def _freeze_params(family: str, params: dict) -> tuple:
-    items = [("family", family)]
-    for k in sorted(params):
-        v = params[k]
-        items.append((k, tuple(float(x) for x in v) if isinstance(v, (tuple, list)) else float(v)))
-    return tuple(items)
+def _family_params(family: str, fields: dict[str, str]) -> tuple:
+    """Checked, frozen parameters of ``family`` from its scenario-file fields.
 
-
-def make_scenario(
-    name: str,
-    n: int,
-    group_sizes: tuple[int, ...] | None = None,
-    seed: int = 0,
-    replicates: int = 1000,
-    alpha: float = 0.05,
-) -> ScenarioSpec:
-    """Instantiate a built-in scenario for a concrete sample size."""
-    if name not in _BUILTINS:
-        raise ValueError(
-            f"unknown scenario {name!r}; built-ins: {', '.join(builtin_scenarios())}"
-        )
-    entry = _BUILTINS[name]
-    problem = entry["problem"]
-    if problem == "ksample":
-        if group_sizes is None:
-            half = n // 2
-            group_sizes = (half, n - half)
-        group_sizes = tuple(int(g) for g in group_sizes)
-    else:
-        group_sizes = None
-    return ScenarioSpec(
-        name=name,
-        problem=problem,
-        n=int(n),
-        group_sizes=group_sizes,
-        params=_freeze_params(entry["family"], entry["params"]),
-        seed=int(seed),
-        replicates=int(replicates),
-        alpha=float(alpha),
-    )
-
-
-def parse_scenario_file(
-    path: str, seed: int = 0, replicates: int = 1000, alpha: float = 0.05
-) -> ScenarioSpec:
-    """Read a key=value scenario description (UTF-8 text, ``#`` comments).
-
-    Required keys: ``name``, ``problem``, ``family``, ``n`` (plus ``groups``
-    for two-sample scenarios); family parameters are explicit, nothing is
-    guessed.  Families: ``gauss`` (mu1, sigma1, mu2, sigma2), ``mixture2d``
-    (weight1, mean1/2, cov1/2 as var_x,cov_xy,var_y), ``shape`` with
-    shape in {circle, sine, line} plus ``noise`` (and ``frequency`` for sine).
-    Raises ValueError unless every value is finite, sigmas are positive,
-    ``weight1`` lies in [0, 1], means have 2 entries, covariances 3 entries
-    forming a positive-definite matrix, and ``noise`` is non-negative.
+    Families: ``gauss`` (mu1, sigma1, mu2, sigma2), ``mixture2d`` (weight1,
+    mean1/2, cov1/2 as var_x,cov_xy,var_y), ``shape`` with shape in {circle,
+    sine, line} plus ``noise`` (and ``frequency`` for sine), and
+    ``uniform-independent``.  Raises KeyError for a missing key, ValueError
+    unless every value is finite, sigmas are positive, ``weight1`` lies in
+    [0, 1], means have 2 entries, covariances 3 entries forming a
+    positive-definite matrix, and ``noise`` is non-negative.
     """
-    raw: dict[str, str] = {}
-    # utf-8-sig: a leading byte-order mark is not part of the first key.
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-    try:
-        name = raw["name"]
-        problem = raw["problem"]
-        family = raw["family"]
-        n = int(raw["n"])
-    except KeyError as exc:
-        raise ValueError(f"scenario file missing required key: {exc}") from exc
 
     def flist(key, size=1):
-        values = tuple(float(tok) for tok in raw[key].split(","))
+        values = tuple(float(tok) for tok in fields[key].split(","))
         if len(values) != size:
             raise ValueError(f"{key} needs {size} comma-separated values, got {len(values)}")
         if not all(math.isfinite(v) for v in values):
@@ -207,6 +133,7 @@ def parse_scenario_file(
             raise ValueError(f"{key} is not a positive-definite covariance") from exc
         return cov
 
+    params = {}  # uniform-independent; ScenarioSpec rejects an unknown family
     if family == "gauss":
         params = {"mu": flist("mu1") + flist("mu2"), "sigma": flist("sigma1") + flist("sigma2")}
         if min(params["sigma"]) <= 0.0:
@@ -222,7 +149,7 @@ def parse_scenario_file(
         if not 0.0 <= params["weight1"] <= 1.0:
             raise ValueError("weight1 must lie in [0, 1]")
     elif family == "shape":
-        shape = raw["shape"]
+        shape = fields["shape"]
         if shape not in _SHAPES:
             raise ValueError(f"unknown shape {shape!r}; choose from {_SHAPES}")
         params = {"shape_id": float(_SHAPES.index(shape)), "noise": flist("noise")[0]}
@@ -230,17 +157,74 @@ def parse_scenario_file(
             raise ValueError("noise must be non-negative")
         if shape == "sine":
             params["frequency"] = flist("frequency")[0]
-    else:
-        raise ValueError(f"unknown scenario family: {family!r}")
-    group_sizes = None
-    if problem == "ksample":
-        group_sizes = tuple(int(g) for g in raw["groups"].split(","))
+    return (("family", family),) + tuple(sorted(params.items()))
+
+
+def make_scenario(
+    name: str,
+    n: int,
+    group_sizes: tuple[int, ...] | None = None,
+    seed: int = 0,
+    replicates: int = 1000,
+    alpha: float = 0.05,
+) -> ScenarioSpec:
+    """Instantiate a built-in scenario for a concrete sample size."""
+    if name not in _BUILTINS:
+        raise ValueError(
+            f"unknown scenario {name!r}; built-ins: {', '.join(builtin_scenarios())}"
+        )
+    fields = dict(item.split("=") for item in _BUILTINS[name].split())
+    problem = _FAMILY_PROBLEMS[fields["family"]]
+    if problem == "ksample" and group_sizes is None:
+        group_sizes = (n // 2, n - n // 2)
+    return ScenarioSpec(
+        name=name,
+        problem=problem,
+        n=int(n),
+        group_sizes=tuple(int(g) for g in group_sizes) if problem == "ksample" else None,
+        params=_family_params(fields["family"], fields),
+        seed=int(seed),
+        replicates=int(replicates),
+        alpha=float(alpha),
+    )
+
+
+def parse_scenario_file(
+    path: str, seed: int = 0, replicates: int = 1000, alpha: float = 0.05
+) -> ScenarioSpec:
+    """Read a key=value scenario description (UTF-8 text, ``#`` comments).
+
+    Required keys: ``name``, ``problem``, ``family``, ``n`` (plus ``groups``
+    for two-sample scenarios) and the family's keys (``_family_params``);
+    nothing is guessed.  ``seed``, ``replicates`` and ``alpha`` override the
+    arguments.  Raises ValueError for a missing key or a value out of range.
+    """
+    raw: dict[str, str] = {}
+    # utf-8-sig: a leading byte-order mark is not part of the first key.
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            raw[key.strip()] = value.strip()
+    try:
+        name, problem, family = raw["name"], raw["problem"], raw["family"]
+        n = int(raw["n"])
+        params = _family_params(family, raw)
+        group_sizes = None
+        if problem == "ksample":
+            group_sizes = tuple(int(g) for g in raw["groups"].split(","))
+    except KeyError as exc:
+        raise ValueError(f"scenario file missing required key: {exc}") from exc
     return ScenarioSpec(
         name=name,
         problem=problem,
         n=n,
         group_sizes=group_sizes,
-        params=_freeze_params(family, params),
+        params=params,
         seed=int(raw.get("seed", seed)),
         replicates=int(raw.get("replicates", replicates)),
         alpha=float(raw.get("alpha", alpha)),
@@ -249,7 +233,7 @@ def parse_scenario_file(
 
 def _uniform_stream(seed: int, replicate_index: int):
     """Counter-based uniforms in (0, 1), deterministic in (seed, replicate)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, replicate_index))))
+    rng = seeded_generator((seed, replicate_index))
 
     def draw(count: int) -> np.ndarray:
         return (rng.integers(0, 2**53, size=count) + 0.5) * 2.0**-53
@@ -285,11 +269,13 @@ def generate_scenario(spec: ScenarioSpec, replicate_index: int):
     if family == "mixture2d":
         pick = draw(n) < spec.param("weight1")
         z = ndtri(draw(2 * n)).reshape(n, 2)
-        l1 = _chol2(spec.param("cov1"))
-        l2 = _chol2(spec.param("cov2"))
-        m1 = np.asarray(spec.param("mean1"))
-        m2 = np.asarray(spec.param("mean2"))
-        pts = np.where(pick[:, None], m1 + z @ l1.T, m2 + z @ l2.T)
+        m1, m2 = (np.asarray(spec.param(key)) for key in ("mean1", "mean2"))
+        # z @ chol.T, elementwise: BLAS kernels fuse its multiply-adds on some CPUs only.
+        d1, d2 = (
+            z[:, :1] * chol[:, 0] + z[:, 1:] * chol[:, 1]
+            for chol in (_chol2(spec.param("cov1")), _chol2(spec.param("cov2")))
+        )
+        pts = np.where(pick[:, None], m1 + d1, m2 + d2)
         return pts[:, 0], pts[:, 1]
     if family == "shape":
         shape = _SHAPES[int(spec.param("shape_id"))]

@@ -530,6 +530,82 @@ class TestScenarioSizes:
         assert err == "error: n must be positive, got -4\n"
 
 
+GAUSS_TEXT = (
+    "name=g\nproblem=ksample\nfamily=gauss\nn=6\ngroups=3,3\nmu1=0\nsigma1=1\nmu2=1\nsigma2=2\n"
+)
+MIXTURE_TEXT = (
+    "name=m\nproblem=independence\nfamily=mixture2d\nn=8\nweight1=0.5\n"
+    "mean1=0,0\ncov1=1,0.5,1\nmean2=1,1\ncov2=1,0,1\n"
+)
+
+
+class TestScenarioSchema:
+    """A family belongs to one problem, and a gauss family has one group per mu entry."""
+
+    def test_gauss_with_three_groups_exits_1(self, capsys):
+        result = run_cli(
+            capsys, "simulate", "--scenario", "gauss-shift", "--n", "90", "--groups", "30,30,30",
+            "--emit",
+        )
+        assert_clean_exit(*result, {1})
+        assert result[2] == "error: family 'gauss' needs 2 group sizes, got 3\n"
+
+    def test_gauss_file_for_independence_exits_4(self, tmp_path, capsys):
+        params = tmp_path / "scn.txt"
+        params.write_text(GAUSS_TEXT.replace("problem=ksample", "problem=independence"))
+        result = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        assert_clean_exit(*result, {4})
+        assert "family 'gauss' belongs to the ksample problem" in result[2]
+
+    @pytest.mark.parametrize("run", ["emit", "power"])
+    def test_mixture_file_for_ksample_exits_4(self, exact_table, tmp_path, capsys, run):
+        params = tmp_path / "scn.txt"
+        params.write_text(
+            MIXTURE_TEXT.replace("problem=independence", "problem=ksample").replace(
+                "n=8", "n=4\ngroups=2,2"
+            )
+        )
+        argv = ["--emit"] if run == "emit" else ["--table", str(exact_table), "--R", "2"]
+        result = run_cli(capsys, "simulate", "--params", str(params), *argv)
+        assert_clean_exit(*result, {4})
+        assert "family 'mixture2d' belongs to the independence problem" in result[2]
+
+    @pytest.mark.parametrize("key", ["frequency", "shape", "mu1", "groups"])
+    def test_missing_family_key_exits_4(self, tmp_path, capsys, key):
+        text = SCENARIO_TEXT if key in ("frequency", "shape") else GAUSS_TEXT
+        params = tmp_path / "scn.txt"
+        kept = [line for line in text.splitlines() if not line.startswith(f"{key}=")]
+        params.write_text("".join(f"{line}\n" for line in kept))
+        result = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        assert_clean_exit(*result, {4})
+        assert result[2] == (
+            f"error: bad scenario file: scenario file missing required key: '{key}'\n"
+        )
+
+    def test_uniform_independent_file_loads(self, tmp_path, capsys):
+        params = tmp_path / "scn.txt"
+        params.write_text(
+            "name=null-uniform\nproblem=independence\nfamily=uniform-independent\nn=9\n"
+        )
+        from_file = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        builtin = run_cli(capsys, "simulate", "--scenario", "null-uniform", "--n", "9", "--emit")
+        assert from_file[0] == 0 and from_file[1].count("\n") == 9
+        assert from_file == builtin
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nulltable", "--problem", "ksample", "--groups", "5"],
+            ["nulltable", "--problem", "ksample", "--groups", "0,5"],
+            ["simulate", "--scenario", "null-equal", "--n", "5", "--groups", "5", "--emit"],
+        ],
+    )
+    def test_group_counts_checked_by_the_types(self, tmp_path, capsys, argv):
+        if argv[0] == "nulltable":
+            argv = argv + ["--out", str(tmp_path / "t.pnt")]
+        assert_clean_exit(*run_cli(capsys, *argv), {1})
+
+
 # Reader fuzz: data and scenario files with edited tokens, tabs and lines,
 # stray bytes, a byte-order mark and other line endings.
 FUZZ_VALUES = st.sampled_from(
@@ -610,12 +686,7 @@ FUZZ_DATA = {
     "ksample": "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n",
     "independence": "1\t4\n2\t3\n3\t1\n4\t2\n",
 }
-FUZZ_SCENARIOS = [
-    SCENARIO_TEXT,
-    "name=g\nproblem=ksample\nfamily=gauss\nn=6\ngroups=3,3\nmu1=0\nsigma1=1\nmu2=1\nsigma2=2\n",
-    "name=m\nproblem=independence\nfamily=mixture2d\nn=8\nweight1=0.5\n"
-    "mean1=0,0\ncov1=1,0.5,1\nmean2=1,1\ncov2=1,0,1\n",
-]
+FUZZ_SCENARIOS = [SCENARIO_TEXT, GAUSS_TEXT, MIXTURE_TEXT]
 
 
 def run_main(argv):
@@ -684,6 +755,15 @@ class TestReaderFuzz:
     @example(case=0, edits=[("value", 6, 1, "-3")], bom=False, newline="\n")
     @example(case=2, edits=[("value", 5, 1, "1e400")], bom=False, newline="\n")
     @example(case=1, edits=[("bytes", 0, b"\xc3")], bom=True, newline="\n")
+    # problem, family and group count swapped
+    @example(case=1, edits=[("value", 1, 1, "independence")], bom=False, newline="\n")
+    @example(case=1, edits=[("value", 4, 1, "2,2,2")], bom=False, newline="\n")
+    @example(
+        case=2, edits=[("value", 1, 1, "ksample"), ("insert", 0, "groups=4,4")], bom=False,
+        newline="\n",
+    )
+    @example(case=0, edits=[("value", 1, 1, "ksample")], bom=False, newline="\n")
+    @example(case=2, edits=[("value", 2, 1, "gauss")], bom=False, newline="\n")
     def test_scenario_files(self, case, edits, bom, newline):
         data = mutated_reader_bytes(FUZZ_SCENARIOS[case], "=", edits, bom, newline)
         with tempfile.TemporaryDirectory() as tmp:

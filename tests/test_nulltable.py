@@ -87,9 +87,10 @@ def grouped_from_arrangement(labels_by_rank):
 
 def table_arrangements(meta, count):
     """The arrangements behind a table's first ``count`` rows."""
+    base = _base_labels(meta)
     if meta.exact:
-        return list(islice(_multiset_permutations(_base_labels(meta).tolist()), count))
-    return [_mc_arrangement(meta, b) for b in range(count)]
+        return list(islice(_multiset_permutations(base.tolist()), count))
+    return [_mc_arrangement(meta, b, base) for b in range(count)]
 
 
 # exact (252 rows), Monte Carlo sum with 28 m, Monte Carlo K=3 max

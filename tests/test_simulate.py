@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from partitest import (
     GroupedSample,
     NullTableMeta,
+    ScenarioSpec,
     generate_null_table,
     generate_scenario,
     make_scenario,
@@ -11,7 +14,7 @@ from partitest import (
     power_study,
     run_test,
 )
-from partitest.simulate import builtin_scenarios, dataset_for_test
+from partitest.simulate import _BUILTINS, builtin_scenarios, dataset_for_test
 
 
 class TestScenarioGeneration:
@@ -126,6 +129,80 @@ class TestScenarioFiles:
         path.write_text("name=x\nbogus line\n")
         with pytest.raises(ValueError, match="key=value"):
             parse_scenario_file(str(path))
+
+
+class TestScenarioSchema:
+    """Built-ins, files and direct specs share one parser and one family table."""
+
+    @pytest.mark.parametrize("name", builtin_scenarios())
+    def test_builtin_equals_its_file(self, tmp_path, name):
+        spec = make_scenario(name, n=24, seed=3, replicates=7)
+        groups = f"groups={','.join(map(str, spec.group_sizes))}\n" if spec.group_sizes else ""
+        path = tmp_path / "scn.txt"
+        path.write_text(
+            f"name={name}\nproblem={spec.problem}\nn=24\n{groups}"
+            + "".join(f"{field}\n" for field in _BUILTINS[name].split())
+        )
+        assert parse_scenario_file(str(path), seed=3, replicates=7) == spec
+
+    @pytest.mark.parametrize(
+        "family,problem",
+        [
+            ("gauss", "independence"),
+            ("mixture2d", "ksample"),
+            ("shape", "ksample"),
+            ("uniform-independent", "ksample"),
+        ],
+    )
+    def test_family_belongs_to_its_problem(self, family, problem):
+        with pytest.raises(ValueError, match=f"family '{family}' belongs to the"):
+            ScenarioSpec(
+                name="x",
+                problem=problem,
+                n=4,
+                group_sizes=(2, 2) if problem == "ksample" else None,
+                params=(("family", family),),
+                seed=0,
+                replicates=1,
+                alpha=0.05,
+            )
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown scenario family: 'nope'"):
+            ScenarioSpec("x", "independence", 4, None, (("family", "nope"),), 0, 1, 0.05)
+
+    @pytest.mark.parametrize("group_sizes", [(30, 30, 30), (90,)])
+    def test_gauss_groups_match_mu(self, group_sizes):
+        with pytest.raises(ValueError, match=f"needs 2 group sizes, got {len(group_sizes)}"):
+            make_scenario("gauss-shift", n=90, group_sizes=group_sizes)
+
+
+# SHA-256 of each built-in's data (seed 12; N=24 and 300; replicates 0-2;
+# every column as little-endian float64).  No BLAS call touches the data, so
+# they hold under each OpenBLAS kernel and numpy SIMD set of the CI matrix.
+BUILTIN_DIGESTS = {
+    "gauss-mixture-2d": "b5432380ab21545e9ee3bcb0059f90b5cf5a171ad6c5e5b732490bda844ad957",
+    "gauss-scale": "3dcd92b583018d6f3c18b8b0ab907b2d9a574f12657cacacf9eb134268fb9de4",
+    "gauss-shift": "c3695e255e15a7cf9625bb96899fc99a8d57edd2efef04de8fa89759d5a38ae3",
+    "gauss-shift-scale": "e3434e3125b5264d4e4a6b43957ff9abf1473c5ccf6d5edf3c0bc4291616de61",
+    "null-equal": "28066b88d7ff53423f3607bcf0b5b73a457ff0e8205fcfdaa8be28465d1b03cf",
+    "null-uniform": "e20d812b2ddfa6e11b9fe2ff1248cdc5f48a403858b965016fd4fa395a3199a2",
+}
+
+
+class TestBuiltinDigests:
+    def test_every_builtin_is_pinned(self):
+        assert sorted(BUILTIN_DIGESTS) == list(builtin_scenarios())
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_DIGESTS))
+    def test_data_digest(self, name):
+        digest = hashlib.sha256()
+        for n in (24, 300):
+            spec = make_scenario(name, n=n, seed=12)
+            for rep in range(3):
+                for column in generate_scenario(spec, rep):
+                    digest.update(np.asarray(column, dtype="<f8").tobytes())
+        assert digest.hexdigest() == BUILTIN_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")
