@@ -255,8 +255,11 @@ def cmd_mi(args) -> int:
 
 
 def _scenario_from_args(args):
-    groups = _parse_groups(args.groups) if args.groups else None
     if args.params:
+        options = (("--scenario", args.scenario), ("--n", args.n), ("--groups", args.groups))
+        given = [flag for flag, value in options if value is not None]
+        if given:
+            raise CliError(f"{', '.join(given)} cannot be combined with --params")
         try:
             spec = parse_scenario_file(
                 args.params, seed=args.seed, replicates=args.R, alpha=args.alpha
@@ -268,13 +271,13 @@ def _scenario_from_args(args):
         return spec
     if not args.scenario:
         raise CliError("either --scenario or --params is required")
-    if not args.n:
+    if args.n is None:
         raise CliError("--n is required with --scenario")
     try:
         return make_scenario(
             args.scenario,
             n=args.n,
-            group_sizes=groups,
+            group_sizes=_parse_groups(args.groups) if args.groups is not None else None,
             seed=args.seed,
             replicates=args.R,
             alpha=args.alpha,
@@ -388,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scenario", help=f"one of: {', '.join(builtin_scenarios())}")
     p.add_argument("--params", help="scenario parameter file (key=value lines)")
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int)
     p.add_argument("--groups")
     p.add_argument("--table")
     p.add_argument("--combine", default="minp", choices=("minp", "fisher", "penalized"))

@@ -15,9 +15,12 @@ against the combined null distribution.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import os
 import re
+import stat
 import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
@@ -44,7 +47,6 @@ __all__ = [
 ]
 
 EXACT_LIMIT = 10**5
-_FORMAT_MAJOR = 1
 
 _KSAMPLE_FAMILIES = ("sum", "max")
 _INDEP_FAMILIES = ("adp_sum", "ddp_sum")
@@ -227,34 +229,56 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
 
 
 # ---------------------------------------------------------------------------
-# Persistence (.pnt: text header lines then tab-separated statistic rows)
+# Persistence (.pnt: #key=value header lines, then the statistic rows)
+#
+# v2, which save_table writes: the version line and the #key=value lines,
+# then "#sha256=<hex>" and "#body=f8le", then the B x (m_max - 1) rows as
+# little-endian float64 in row-major order, and nothing after them.  The
+# digest is the SHA-256 of the file without its #sha256= line, so it covers
+# the header as well as the rows.  v1, which load_table still reads: the
+# same header lines, then tab-separated decimal rows.
+
+_V2_MAGIC = b"#PNT v2\n"
+_V2_DIGEST = b"#sha256="
+_V2_BODY = b"#body=f8le\n"
+_BODY_DTYPE = np.dtype("<f8")
+_HEX_DIGEST = re.compile(rb"[0-9a-f]{64}")
 
 
 def save_table(table: NullTable, path: str) -> None:
-    """Write atomically; an interrupted write leaves no partial file."""
+    """Write a v2 file atomically; an interrupted write leaves no partial file.
+
+    The rows are stored as little-endian float64 whatever the host's byte
+    order, so the bytes depend only on the table.
+    """
     meta = table.meta
     groups = ",".join(str(g) for g in meta.group_sizes) if meta.group_sizes else ""
-    header = [
-        f"#PNT v{_FORMAT_MAJOR}",
-        f"#problem={meta.problem}",
-        f"#family={meta.family}",
-        f"#score={meta.score.value}",
-        f"#N={meta.n}",
-        f"#groups={groups}",
-        f"#m_max={meta.m_max}",
-        f"#B={meta.b}",
-        f"#seed={meta.seed}",
-        f"#exact={1 if meta.exact else 0}",
-    ]
+    header = (
+        _V2_MAGIC
+        + (
+            f"#problem={meta.problem}\n"
+            f"#family={meta.family}\n"
+            f"#score={meta.score.value}\n"
+            f"#N={meta.n}\n"
+            f"#groups={groups}\n"
+            f"#m_max={meta.m_max}\n"
+            f"#B={meta.b}\n"
+            f"#seed={meta.seed}\n"
+            f"#exact={1 if meta.exact else 0}\n"
+        ).encode("utf-8")
+    )
+    body = np.ascontiguousarray(table.data, dtype=_BODY_DTYPE)
+    digest = hashlib.sha256(header)
+    digest.update(_V2_BODY)
+    digest.update(body)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".pnt-", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(header))
-            fh.write("\n")
-            for row in table.data:
-                fh.write("\t".join(f"{v:.17g}" for v in row))
-                fh.write("\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(_V2_DIGEST + digest.hexdigest().encode("ascii") + b"\n")
+            fh.write(_V2_BODY)
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -262,16 +286,99 @@ def save_table(table: NullTable, path: str) -> None:
         raise
 
 
+def _store_field(line: str, fields: dict[str, str]) -> None:
+    """Store a ``#key=value`` header line (newline included) in ``fields``."""
+    key, _, value = line.rstrip("\n")[1:].partition("=")
+    fields[key] = value
+
+
+def _meta_from_fields(fields: dict[str, str]) -> NullTableMeta:
+    """The checked metadata of a header, v1 or v2."""
+    for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
+        if key not in fields:
+            raise ValueError(f"missing header key: {key}")
+    groups = fields.get("groups", "")
+    meta = NullTableMeta(
+        problem=fields["problem"],
+        family=fields["family"],
+        score=ScoreKind.parse(fields["score"]),
+        n=int(fields["N"]),
+        group_sizes=tuple(int(g) for g in groups.split(",")) if groups else None,
+        m_max=int(fields["m_max"]),
+        b=int(fields["B"]),
+        seed=int(fields["seed"]),
+        exact=fields.get("exact", "0") == "1",
+    )
+    if meta.b < 1:
+        raise ValueError(f"B={meta.b}: a table holds at least one row")
+    # Exact tables exist only for enumerations of at most EXACT_LIMIT rows,
+    # so N is at most EXACT_LIMIT; checking that first spares computing N!
+    # for a header with a huge N.
+    if meta.exact and (meta.n > EXACT_LIMIT or meta.b != exact_enumeration_count(meta)):
+        raise ValueError(f"exact table holds B={meta.b} rows, not the full enumeration")
+    return meta
+
+
+def _finite_table(meta: NullTableMeta, data: np.ndarray) -> NullTable:
+    if not np.all(np.isfinite(data)):
+        raise ValueError("non-finite statistic in table")
+    return NullTable(meta=meta, data=data)
+
+
+def _load_v2(fh) -> NullTable:
+    """A v2 file from its first line (binary mode)."""
+    fh.readline()
+    lines = []
+    while True:
+        line = fh.readline()
+        if line.startswith(b"#body="):
+            break
+        if not (line.startswith(b"#") and line.endswith(b"\n")):
+            raise ValueError("header has no #body= line")
+        lines.append(line)
+    if line != _V2_BODY:
+        raise ValueError(f"unsupported body line {line!r}, not {_V2_BODY!r}")
+    if not (lines and lines[-1].startswith(_V2_DIGEST)):
+        raise ValueError("no #sha256= line before the #body= line")
+    stored = lines.pop()[len(_V2_DIGEST) : -1]
+    if not _HEX_DIGEST.fullmatch(stored):
+        raise ValueError("malformed #sha256= line: want 64 lowercase hex digits")
+    digest = hashlib.sha256(_V2_MAGIC)
+    fields: dict[str, str] = {}
+    for number, line in enumerate(lines, start=2):
+        digest.update(line)
+        try:
+            _store_field(line.decode("utf-8"), fields)
+        except UnicodeDecodeError:
+            raise ValueError(f"header line {number} is not UTF-8 text") from None
+    digest.update(_V2_BODY)
+    # the rest of the file, sized by the file and not by the header: one
+    # buffer for a regular file, as read() alone would join two
+    st = os.fstat(fh.fileno())
+    body = fh.read(st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else -1)
+    meta = _meta_from_fields(fields)
+    expected = meta.b * (meta.m_max - 1) * _BODY_DTYPE.itemsize
+    if len(body) != expected:
+        raise ValueError(
+            f"body holds {len(body)} bytes where B={meta.b} rows of m_max - 1 = "
+            f"{meta.m_max - 1} float64 values need {expected}"
+        )
+    digest.update(body)
+    if digest.hexdigest().encode("ascii") != stored:
+        raise ValueError("sha256 digest does not match the file's contents")
+    data = np.frombuffer(body, dtype=_BODY_DTYPE).reshape(meta.b, meta.m_max - 1)
+    return _finite_table(meta, data)
+
+
 def _data_lines(fh, fields: dict[str, str]):
-    """The statistic lines of an open ``.pnt`` file, after its version line.
+    """The statistic lines of an open v1 ``.pnt`` file, after its version line.
 
     Each ``#key=value`` line, wherever it appears, is stored in ``fields``;
     empty lines are skipped.
     """
     for line in fh:
         if line.startswith("#"):
-            key, _, value = line.rstrip("\n")[1:].partition("=")
-            fields[key] = value
+            _store_field(line, fields)
         elif line != "\n":
             yield line
 
@@ -302,61 +409,52 @@ def _row_error(message: str) -> str | None:
     return None
 
 
-def load_table(path: str) -> NullTable:
-    """Read a ``.pnt`` file.
-
-    A malformed header or row, a non-finite row, or an exact table whose B
-    is not the enumeration count raises ValueError.
-    """
+def _load_v1(fh) -> NullTable:
+    """A v1 file from its first line (text mode)."""
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
+    fh.readline()
+    lines = _data_lines(fh, fields)
+    first = next(lines, None)
+    if first is None:
+        # loadtxt would warn on an empty body; NullTable rejects the 1-D array
+        data = np.empty(0)
+    else:
+        # one streamed C parse, correctly rounded like float(); no line is
+        # a comment to it, so a '#' inside a row is a malformed token
+        try:
+            data = np.loadtxt(chain((first,), lines), delimiter="\t", comments=None, ndmin=2)
+        except ValueError as exc:
+            message = _row_error(str(exc))
+            if message is None:
+                raise
+            raise ValueError(message) from None
+    return _finite_table(_meta_from_fields(fields), data)
+
+
+def load_table(path: str) -> NullTable:
+    """Read a ``.pnt`` file, v2 or v1.
+
+    A malformed header or row, a body whose length or digest does not match
+    its header, a non-finite row, or an exact table whose B is not the
+    enumeration count raises ValueError.
+    """
+    with open(path, "rb") as fh:
+        head = fh.peek(len(_V2_MAGIC))
+        magic = head.split(b"\n", 1)[0].split(b"\r", 1)[0].decode("utf-8", "replace")
         if not magic.startswith("#PNT v"):
             raise ValueError("not a null-table file")
         try:
             major = int(magic[len("#PNT v") :].split(".")[0])
         except ValueError as exc:
             raise ValueError("malformed version line") from exc
-        if major != _FORMAT_MAJOR:
+        if major == 1:
+            with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                return _load_v1(text)
+        if major != 2:
             raise ValueError(f"unsupported format major version {major}")
-        lines = _data_lines(fh, fields)
-        first = next(lines, None)
-        if first is None:
-            # loadtxt would warn on an empty body; NullTable rejects the 1-D array
-            data = np.empty(0)
-        else:
-            # one streamed C parse, correctly rounded like float(); no line is
-            # a comment to it, so a '#' inside a row is a malformed token
-            try:
-                data = np.loadtxt(chain((first,), lines), delimiter="\t", comments=None, ndmin=2)
-            except ValueError as exc:
-                message = _row_error(str(exc))
-                if message is None:
-                    raise
-                raise ValueError(message) from None
-    for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
-        if key not in fields:
-            raise ValueError(f"missing header key: {key}")
-    groups = fields.get("groups", "")
-    meta = NullTableMeta(
-        problem=fields["problem"],
-        family=fields["family"],
-        score=ScoreKind.parse(fields["score"]),
-        n=int(fields["N"]),
-        group_sizes=tuple(int(g) for g in groups.split(",")) if groups else None,
-        m_max=int(fields["m_max"]),
-        b=int(fields["B"]),
-        seed=int(fields["seed"]),
-        exact=fields.get("exact", "0") == "1",
-    )
-    # Exact tables exist only for enumerations of at most EXACT_LIMIT rows,
-    # so N is at most EXACT_LIMIT; checking that first spares computing N!
-    # for a header with a huge N.
-    if meta.exact and (meta.n > EXACT_LIMIT or meta.b != exact_enumeration_count(meta)):
-        raise ValueError(f"exact table holds B={meta.b} rows, not the full enumeration")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("non-finite statistic in table")
-    return NullTable(meta=meta, data=data)
+        if not head.startswith(_V2_MAGIC):
+            raise ValueError("malformed version line: a v2 file starts with '#PNT v2' and LF")
+        return _load_v2(fh)
 
 
 # ---------------------------------------------------------------------------

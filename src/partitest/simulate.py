@@ -111,14 +111,15 @@ def _family_params(family: str, fields: dict[str, str]) -> tuple:
     Families: ``gauss`` (mu1, sigma1, mu2, sigma2), ``mixture2d`` (weight1,
     mean1/2, cov1/2 as var_x,cov_xy,var_y), ``shape`` with shape in {circle,
     sine, line} plus ``noise`` (and ``frequency`` for sine), and
-    ``uniform-independent``.  Raises KeyError for a missing key, ValueError
-    unless every value is finite, sigmas are positive, ``weight1`` lies in
-    [0, 1], means have 2 entries, covariances 3 entries forming a
-    positive-definite matrix, and ``noise`` is non-negative.
+    ``uniform-independent``.  Removes the keys it reads from ``fields``, so
+    a caller can reject the rest.  Raises KeyError for a missing key,
+    ValueError unless every value is finite, sigmas are positive,
+    ``weight1`` lies in [0, 1], means have 2 entries, covariances 3 entries
+    forming a positive-definite matrix, and ``noise`` is non-negative.
     """
 
     def flist(key, size=1):
-        values = tuple(float(tok) for tok in fields[key].split(","))
+        values = tuple(float(tok) for tok in fields.pop(key).split(","))
         if len(values) != size:
             raise ValueError(f"{key} needs {size} comma-separated values, got {len(values)}")
         if not all(math.isfinite(v) for v in values):
@@ -149,7 +150,7 @@ def _family_params(family: str, fields: dict[str, str]) -> tuple:
         if not 0.0 <= params["weight1"] <= 1.0:
             raise ValueError("weight1 must lie in [0, 1]")
     elif family == "shape":
-        shape = fields["shape"]
+        shape = fields.pop("shape")
         if shape not in _SHAPES:
             raise ValueError(f"unknown shape {shape!r}; choose from {_SHAPES}")
         params = {"shape_id": float(_SHAPES.index(shape)), "noise": flist("noise")[0]}
@@ -168,13 +169,19 @@ def make_scenario(
     replicates: int = 1000,
     alpha: float = 0.05,
 ) -> ScenarioSpec:
-    """Instantiate a built-in scenario for a concrete sample size."""
+    """Instantiate a built-in scenario for a concrete sample size.
+
+    ``group_sizes`` applies to K-sample scenarios only (default: N split in
+    halves); giving it for an independence scenario raises ValueError.
+    """
     if name not in _BUILTINS:
         raise ValueError(
             f"unknown scenario {name!r}; built-ins: {', '.join(builtin_scenarios())}"
         )
     fields = dict(item.split("=") for item in _BUILTINS[name].split())
     problem = _FAMILY_PROBLEMS[fields["family"]]
+    if problem == "independence" and group_sizes is not None:
+        raise ValueError(f"{name!r} is an independence scenario and takes no group sizes")
     if problem == "ksample" and group_sizes is None:
         group_sizes = (n // 2, n - n // 2)
     return ScenarioSpec(
@@ -197,9 +204,11 @@ def parse_scenario_file(
     Required keys: ``name``, ``problem``, ``family``, ``n`` (plus ``groups``
     for two-sample scenarios) and the family's keys (``_family_params``);
     nothing is guessed.  ``seed``, ``replicates`` and ``alpha`` override the
-    arguments.  Raises ValueError for a missing key or a value out of range.
+    arguments.  Raises ValueError for a missing, repeated or unread key, or
+    a value out of range.
     """
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     # utf-8-sig: a leading byte-order mark is not part of the first key.
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -209,26 +218,35 @@ def parse_scenario_file(
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in raw:
+                raise ValueError(
+                    f"{path}:{lineno}: repeated key {key!r}, first set on line {line_of[key]}"
+                )
+            raw[key], line_of[key] = value.strip(), lineno
     try:
-        name, problem, family = raw["name"], raw["problem"], raw["family"]
-        n = int(raw["n"])
+        name, problem, family = raw.pop("name"), raw.pop("problem"), raw.pop("family")
+        n = int(raw.pop("n"))
         params = _family_params(family, raw)
         group_sizes = None
         if problem == "ksample":
-            group_sizes = tuple(int(g) for g in raw["groups"].split(","))
+            group_sizes = tuple(int(g) for g in raw.pop("groups").split(","))
     except KeyError as exc:
         raise ValueError(f"scenario file missing required key: {exc}") from exc
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name=name,
         problem=problem,
         n=n,
         group_sizes=group_sizes,
         params=params,
-        seed=int(raw.get("seed", seed)),
-        replicates=int(raw.get("replicates", replicates)),
-        alpha=float(raw.get("alpha", alpha)),
+        seed=int(raw.pop("seed", seed)),
+        replicates=int(raw.pop("replicates", replicates)),
+        alpha=float(raw.pop("alpha", alpha)),
     )
+    if raw:  # what is left, the scenario does not read
+        key = next(iter(raw))
+        raise ValueError(f"{path}:{line_of[key]}: key {key!r} is not read by a {family} scenario")
+    return spec
 
 
 def _uniform_stream(seed: int, replicate_index: int):

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from partitest import (
     rank_with_random_ties,
 )
 from partitest.core import _cell_index_cache, _count_grid, _log_table, _xlogx_table
-from partitest.nulltable import _FORMAT_MAJOR, EXACT_LIMIT, exact_enumeration_count
+from partitest.nulltable import EXACT_LIMIT, exact_enumeration_count
 
 
 def random_grouped_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -174,10 +175,35 @@ def reference_rank_with_random_ties(values, tie_seed: int):
     return ranks, int(tie_seed)
 
 
-def reference_load_table(path: str) -> NullTable:
-    """Read a ``.pnt`` file one ``float()`` per token.
+def render_v1(table: NullTable) -> bytes:
+    """A table in the v1 ``.pnt`` text format, as ``save_table`` wrote it before v2.
 
-    ``load_table`` parses the rows in one streamed C pass and must give this
+    UTF-8, LF endings: the version line, nine ``#key=value`` lines, then one
+    line per row of tab-separated values printed with 17 significant digits.
+    The golden table digests pin these bytes, and so every statistic bit.
+    """
+    meta = table.meta
+    groups = ",".join(str(g) for g in meta.group_sizes) if meta.group_sizes else ""
+    header = [
+        "#PNT v1",
+        f"#problem={meta.problem}",
+        f"#family={meta.family}",
+        f"#score={meta.score.value}",
+        f"#N={meta.n}",
+        f"#groups={groups}",
+        f"#m_max={meta.m_max}",
+        f"#B={meta.b}",
+        f"#seed={meta.seed}",
+        f"#exact={1 if meta.exact else 0}",
+    ]
+    rows = ("\t".join(f"{v:.17g}" for v in row) for row in table.data)
+    return "".join(f"{line}\n" for line in chain(header, rows)).encode("utf-8")
+
+
+def reference_load_table(path: str) -> NullTable:
+    """Read a v1 ``.pnt`` file one ``float()`` per token.
+
+    ``load_table`` parses v1 rows in one streamed C pass and must give this
     meta and these data bytes, or raise ValueError where this raises it.
     """
     fields: dict[str, str] = {}
@@ -190,7 +216,7 @@ def reference_load_table(path: str) -> NullTable:
             major = int(magic[len("#PNT v") :].split(".")[0])
         except ValueError as exc:
             raise ValueError("malformed version line") from exc
-        if major != _FORMAT_MAJOR:
+        if major != 1:
             raise ValueError(f"unsupported format major version {major}")
         for line in fh:
             line = line.rstrip("\n")

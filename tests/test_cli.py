@@ -9,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from partitest import load_table
 from partitest.cli import main
+
+from helpers import render_v1
 
 
 def run_cli(capsys, *argv):
@@ -45,11 +48,18 @@ def exact_table(tmp_path, capsys):
     return path
 
 
+@pytest.fixture()
+def exact_table_v1(exact_table):
+    """The exact table rewritten as v1 text, for tests that edit its lines."""
+    exact_table.write_bytes(render_v1(load_table(str(exact_table))))
+    return exact_table
+
+
 class TestNulltableCommand:
     def test_exact_trigger_and_header(self, exact_table, capsys):
-        text = exact_table.read_text()
-        assert "#exact=1" in text
-        assert "#B=6" in text
+        header = exact_table.read_bytes().split(b"#body=f8le\n")[0].decode("utf-8")
+        assert "#exact=1\n" in header
+        assert "#B=6\n" in header
 
     def test_rerun_is_byte_identical(self, exact_table, tmp_path, capsys):
         other = tmp_path / "again.pnt"
@@ -164,7 +174,8 @@ class TestTestCommand:
         assert code == 4
         assert ":2" in err
 
-    def test_missing_header_key_exits_4(self, exact_table, tmp_path, capsys):
+    def test_missing_header_key_exits_4(self, exact_table_v1, tmp_path, capsys):
+        exact_table = exact_table_v1
         lines = exact_table.read_text().split("\n")
         exact_table.write_text("\n".join(ln for ln in lines if not ln.startswith("#seed=")))
         data = tmp_path / "d.tsv"
@@ -174,7 +185,8 @@ class TestTestCommand:
         assert out == ""
         assert "missing header key: seed" in err and len(err.strip().split("\n")) == 1
 
-    def test_non_finite_table_exits_4(self, exact_table, tmp_path, capsys):
+    def test_non_finite_table_exits_4(self, exact_table_v1, tmp_path, capsys):
+        exact_table = exact_table_v1
         lines = exact_table.read_text().split("\n")
         first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
         lines[first] = "nan\tnan\tnan"
@@ -186,7 +198,8 @@ class TestTestCommand:
         assert out == ""
         assert "non-finite" in err
 
-    def test_truncated_exact_table_exits_4(self, exact_table, tmp_path, capsys):
+    def test_truncated_exact_table_exits_4(self, exact_table_v1, tmp_path, capsys):
+        exact_table = exact_table_v1
         lines = exact_table.read_text().split("\n")
         assert "#B=6" in lines and "#exact=1" in lines
         last = max(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
@@ -592,6 +605,52 @@ class TestScenarioSchema:
         assert from_file[0] == 0 and from_file[1].count("\n") == 9
         assert from_file == builtin
 
+    def test_groups_for_an_independence_scenario_exits_1(self, capsys):
+        result = run_cli(
+            capsys, "simulate", "--scenario", "null-uniform", "--n", "10", "--groups", "3,3",
+            "--emit",
+        )
+        assert_clean_exit(*result, {1})
+        assert result[2] == (
+            "error: 'null-uniform' is an independence scenario and takes no group sizes\n"
+        )
+
+    @pytest.mark.parametrize(
+        "options,named",
+        [
+            (["--n", "50"], "--n"),
+            (["--groups", "25,25"], "--groups"),
+            (["--scenario", "gauss-shift"], "--scenario"),
+            (["--n", "6", "--groups", "3,3"], "--n, --groups"),
+        ],
+    )
+    def test_option_the_params_file_sets_exits_1(self, tmp_path, capsys, options, named):
+        params = tmp_path / "scn.txt"
+        params.write_text(GAUSS_TEXT)
+        result = run_cli(capsys, "simulate", "--params", str(params), *options, "--emit")
+        assert_clean_exit(*result, {1})
+        assert result[2] == f"error: {named} cannot be combined with --params\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (GAUSS_TEXT + "mu1=7\n", "10: repeated key 'mu1', first set on line 6"),
+            (GAUSS_TEXT.replace("n=6\n", "n=6\nn=8\n"),
+             "5: repeated key 'n', first set on line 4"),
+            (GAUSS_TEXT + "noise=1\n", "10: key 'noise' is not read by a gauss scenario"),
+            (MIXTURE_TEXT + "groups=4,4\n",
+             "10: key 'groups' is not read by a mixture2d scenario"),
+            (SCENARIO_TEXT.replace("sine", "circle"),
+             "6: key 'frequency' is not read by a shape scenario"),
+        ],
+    )
+    def test_repeated_or_unread_key_exits_4(self, tmp_path, capsys, text, message):
+        params = tmp_path / "scn.txt"
+        params.write_text(text)
+        result = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        assert_clean_exit(*result, {4})
+        assert result[2] == f"error: bad scenario file: {params}:{message}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -620,7 +679,9 @@ FUZZ_READER_EDITS = st.lists(
         st.tuples(
             st.just("insert"),
             st.integers(0, 10**6),
-            st.sampled_from(["", " ", "\t", "#", "# note", "#x=1", "=", "x\ty\tz"]),
+            st.sampled_from(
+                ["", " ", "\t", "#", "# note", "#x=1", "=", "x\ty\tz", "mu1=7", "noise=1"]
+            ),
         ),
         st.tuples(
             st.just("bytes"),
@@ -764,6 +825,9 @@ class TestReaderFuzz:
     )
     @example(case=0, edits=[("value", 1, 1, "ksample")], bom=False, newline="\n")
     @example(case=2, edits=[("value", 2, 1, "gauss")], bom=False, newline="\n")
+    # a repeated key, and a key the family does not read
+    @example(case=1, edits=[("insert", 9, "mu1=7")], bom=False, newline="\n")
+    @example(case=1, edits=[("insert", 3, "noise=1")], bom=False, newline="\r\n")
     def test_scenario_files(self, case, edits, bom, newline):
         data = mutated_reader_bytes(FUZZ_SCENARIOS[case], "=", edits, bom, newline)
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,12 +1,15 @@
+import functools
 import hashlib
 import io
 import math
 import os
 import tempfile
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import islice, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +44,9 @@ from partitest.nulltable import (
 from partitest.cli import main as cli_main
 from partitest.oracle import oracle_ddp
 
-from helpers import golden_hhg_pair, golden_sweep, reference_load_table
+from helpers import golden_hhg_pair, golden_sweep, reference_load_table, render_v1
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def ksample_meta(**kw):
@@ -301,31 +306,35 @@ class TestPersistence:
         table = generate_null_table(indep_meta())
         path = tmp_path / "t.pnt"
         save_table(table, str(path))
-        raw = path.read_bytes().decode("utf-8")
-        lines = raw.split("\n")
-        assert lines[0] == "#PNT v1"
-        assert "#groups=" in raw
-        assert raw.endswith("\n") and "\r" not in raw
-        data_lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        assert len(data_lines) == 24
-        assert all(len(ln.split("\t")) == 2 for ln in data_lines)
-        assert all(not ln.endswith((" ", "\t")) for ln in lines)
+        raw = path.read_bytes()
+        lines = raw.split(b"\n", 12)
+        assert lines[0] == b"#PNT v2"
+        assert lines[1:10] == [
+            b"#problem=independence", b"#family=adp_sum", b"#score=lr", b"#N=4", b"#groups=",
+            b"#m_max=3", b"#B=24", b"#seed=5", b"#exact=1",
+        ]
+        assert lines[10].startswith(b"#sha256=") and len(lines[10]) == len("#sha256=") + 64
+        assert lines[11] == b"#body=f8le"
+        body = lines[12]
+        assert len(body) == 24 * 2 * 8
+        assert body == np.asarray(table.data, dtype="<f8").tobytes()
+        without_digest = raw.replace(lines[10] + b"\n", b"", 1)
+        assert lines[10][8:].decode() == hashlib.sha256(without_digest).hexdigest()
 
     def test_unknown_major_version_rejected(self, tmp_path):
         table = generate_null_table(ksample_meta())
         path = tmp_path / "t.pnt"
         save_table(table, str(path))
-        text = path.read_text().replace("#PNT v1", "#PNT v2", 1)
         bad = tmp_path / "bad.pnt"
-        bad.write_text(text)
-        with pytest.raises(ValueError, match="major version"):
+        bad.write_bytes(path.read_bytes().replace(b"#PNT v2", b"#PNT v3", 1))
+        with pytest.raises(ValueError, match="unsupported format major version 3$"):
             load_table(str(bad))
 
     @pytest.mark.parametrize("key", ["problem", "family", "score", "N", "m_max", "B", "seed"])
     def test_missing_header_key_rejected(self, tmp_path, key):
         table = generate_null_table(ksample_meta())
         path = tmp_path / "t.pnt"
-        save_table(table, str(path))
+        path.write_bytes(render_v1(table))
         lines = path.read_text().split("\n")
         path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"#{key}=")))
         with pytest.raises(ValueError, match=f"missing header key: {key}$"):
@@ -335,7 +344,7 @@ class TestPersistence:
     def test_non_finite_row_rejected(self, tmp_path, token):
         table = generate_null_table(ksample_meta())
         path = tmp_path / "t.pnt"
-        save_table(table, str(path))
+        path.write_bytes(render_v1(table))
         lines = path.read_text().split("\n")
         first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
         lines[first] = "\t".join([token] * (table.meta.m_max - 1))
@@ -347,13 +356,28 @@ class TestPersistence:
         table = generate_null_table(ksample_meta(n=6, group_sizes=(3, 3)))
         assert table.meta.exact and table.meta.b == 20
         path = tmp_path / "t.pnt"
-        save_table(table, str(path))
+        path.write_bytes(render_v1(table))
         lines = path.read_text().split("\n")
         first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
         lines = [("#B=15" if ln == "#B=20" else ln) for ln in lines[: first + 15]]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="exact table holds B=15 rows, not the full"):
             load_table(str(path))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_reads_from_a_pipe(self, tmp_path, version):
+        # a pipe has no size to check the body against, so it is read to its end
+        table = generate_null_table(ksample_meta(n=20, group_sizes=(10, 10), b=100))
+        path, fifo = tmp_path / "t.pnt", tmp_path / "fifo"
+        save_table(table, str(path))
+        raw = render_v1(table) if version == 1 else path.read_bytes()
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        loaded = load_table(str(fifo))
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert loaded.meta == table.meta and loaded.data.tobytes() == table.data.tobytes()
 
     def test_no_partial_file_on_failure(self, tmp_path):
         table = generate_null_table(ksample_meta())
@@ -390,9 +414,7 @@ class TestPersistence:
         meta, data_text = FUZZ_TABLES[case]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.pnt")
-            save_table(generate_null_table(meta), path)
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = render_v1(generate_null_table(meta)).decode("utf-8")
             with open(path, "wb") as fh:
                 fh.write(mutated_table_bytes(text, edits, newline, final_newline))
             expected = outcome(reference_load_table, path)
@@ -426,7 +448,7 @@ class TestPersistence:
     )
     def test_tokens_float_accepts_and_the_reader_rejects(self, tmp_path, token, value):
         path = tmp_path / "t.pnt"
-        save_table(generate_null_table(ksample_meta()), str(path))
+        path.write_bytes(render_v1(generate_null_table(ksample_meta())))
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[FUZZ_HEADER_LINES] = "\t".join([token] + lines[FUZZ_HEADER_LINES].split("\t")[1:])
         path.write_text("\n".join(lines), encoding="utf-8")
@@ -440,7 +462,7 @@ class TestPersistence:
         # around a token as it strips spaces; float() rejects them
         table = generate_null_table(ksample_meta())
         path = tmp_path / "t.pnt"
-        save_table(table, str(path))
+        path.write_bytes(render_v1(table))
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[FUZZ_HEADER_LINES] = char + lines[FUZZ_HEADER_LINES].replace("\t", char + "\t")
         path.write_text("\n".join(lines), encoding="utf-8")
@@ -450,7 +472,7 @@ class TestPersistence:
 
     def test_empty_body_raises_without_a_warning(self, tmp_path):
         path = tmp_path / "t.pnt"
-        save_table(generate_null_table(ksample_meta()), str(path))
+        path.write_bytes(render_v1(generate_null_table(ksample_meta())))
         header = path.read_text(encoding="utf-8").split("\n")[:FUZZ_HEADER_LINES]
         path.write_text("\n".join(header) + "\n\n", encoding="utf-8")
         with warnings.catch_warnings():
@@ -475,7 +497,7 @@ class TestPersistence:
         # rows and columns count from 1; blank and #key=value lines are not data rows
         meta, data_text = FUZZ_TABLES[0]
         path = tmp_path / "t.pnt"
-        save_table(generate_null_table(meta), str(path))
+        path.write_bytes(render_v1(generate_null_table(meta)))
         lines = path.read_text(encoding="utf-8").split("\n")
         i = FUZZ_HEADER_LINES + row
         lines[i] = "\t".join(edit(lines[i].split("\t")))
@@ -499,35 +521,42 @@ def golden_meta(**kw):
     return NullTableMeta(**base)
 
 
-# SHA-256 of save_table output, recorded when the format and statistics were
-# fixed; any change to row scoring, row order or number formatting shows here.
-# The last three are the shapes perfbench's ksample workloads build.
+# SHA-256 of each table as v1 text (``render_v1``, the bytes save_table wrote
+# before v2), recorded when the format and statistics were fixed, then of its
+# v2 file; any change to row scoring, row order, number formatting or the v2
+# layout shows here.  The last three are the shapes perfbench's ksample
+# workloads build.
 KSAMPLE_GOLDEN_TABLES = [
     (
         golden_meta(problem="ksample", family="sum", n=6, group_sizes=(3, 3), m_max=4),
         "bde6fee898b4b8b820fa16baecae6b5fe96c1972e1a7bec391e0e1694f32381b",
+        "6d64e0e406a275368d53206c716d12dea023e092b285b42c7f513d7f71ef619c",
     ),
     (
         golden_meta(
             problem="ksample", family="max", n=6, group_sizes=(3, 3), m_max=4, score="pearson"
         ),
         "716d95f09141f878511a486780ac90bcef8f0e5a7fd948e09f3e9faad1190774",
+        "2d9bf35c888120051af50b0e08757ce0bc80c56e294ab1dcb24e59e4fc787ed5",
     ),
     (
         golden_meta(problem="ksample", family="sum", n=20, group_sizes=(10, 10), m_max=6, b=120),
         "da33ea95739a2ded1510c53debbccfd79b160f44e3ee408955c11c3471fce19e",
+        "5fc159f1ed30f07ed62c0f730d2734ddcb1e3e4d98d6354188ca0248e351de7b",
     ),
     (
         golden_meta(
             problem="ksample", family="sum", n=200, group_sizes=(100, 100), m_max=29, b=250
         ),
         "af2501d2d2bb9ed166dbf3b87d2bebdf13679df70c80929535ac4d3de96db278",
+        "8360422d8c48c0ca7192ac88d7fe30a40948fac7619a6471b2a3edbeb6c4382a",
     ),
     (
         golden_meta(
             problem="ksample", family="max", n=100, group_sizes=(40, 30, 30), m_max=29, b=250
         ),
         "b13feb478fcce8b57bc42c9300351101f0b3157746f8a22affcff81fec8f5afd",
+        "584b6ecf05ef2e18017c5ad994daf70a374bde0a1ba3d693f09c2667ff42d91c",
     ),
     (
         golden_meta(
@@ -535,6 +564,7 @@ KSAMPLE_GOLDEN_TABLES = [
             score="pearson",
         ),
         "e0a8fbbe40bcf0091b04aac12353336dc1d6df77b8e5568c5bfaa85001697efe",
+        "6f7b39e18e9d279afe583bf85c6af78ef88dcd6409a632489a8f0137cfe9b3c5",
     ),
 ]
 
@@ -542,39 +572,273 @@ INDEPENDENCE_GOLDEN_TABLES = [
     (
         golden_meta(problem="independence", family="adp_sum", n=6, m_max=3),
         "c5b98e0701c4cc7ece27109d7ac363b2484c4ffbf09df291eec98411ecae58ed",
+        "e246ac4ca118afa7c9125ed3d39af756a1b20322ec1acfe2f83ece4edc36f175",
     ),
     (
         golden_meta(problem="independence", family="ddp_sum", n=6, m_max=3, score="pearson"),
         "3ab794e5f5adf4b264b38ff6b191c0fb80e11ce66803718f36dc9448a247b567",
+        "ddbb134f20d2dc474ab331c915798b2518696865405579ad2252813ac9301cb8",
     ),
     (
         golden_meta(problem="independence", family="adp_sum", n=9, m_max=3),
         "6d82f1f29e503ef6a4e8a77aa77fd1a2c60f73ade973c062d329f84c4bb13388",
+        "801e7398d4410fc02fd869156c7304ffca748e1e79c255b7c2a48aaa6b5a25bf",
     ),
     (
         golden_meta(problem="independence", family="ddp_sum", n=9, m_max=3),
         "1f1ed327a981d07ccbe746402b1b1909afbb30c173187f43ca100be51a3ce00c",
+        "dc5f04a282e6cfe6b9e3593168120281ae2f9ec12dd2fb4b02863c2780e79bea",
     ),
 ]
 
 # Each case is marked with its problem, so `-m ksample` selects the K-sample
 # digests; the order keeps the parameter ids of the first seven cases.
+ALL_GOLDEN_TABLES = (
+    KSAMPLE_GOLDEN_TABLES[:3] + INDEPENDENCE_GOLDEN_TABLES + KSAMPLE_GOLDEN_TABLES[3:]
+)
 GOLDEN_TABLES = [
     pytest.param(meta, digest, marks=getattr(pytest.mark, meta.problem))
-    for meta, digest in (
-        KSAMPLE_GOLDEN_TABLES[:3] + INDEPENDENCE_GOLDEN_TABLES + KSAMPLE_GOLDEN_TABLES[3:]
-    )
+    for meta, digest, _ in ALL_GOLDEN_TABLES
 ]
+V2_GOLDEN_TABLES = [
+    pytest.param(meta, digest, marks=getattr(pytest.mark, meta.problem))
+    for meta, _, digest in ALL_GOLDEN_TABLES
+]
+
+
+@functools.cache
+def golden_table(meta, threads):
+    return generate_null_table(meta, threads=threads)
 
 
 class TestGoldenBytes:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("meta,digest", GOLDEN_TABLES)
-    def test_table_bytes(self, tmp_path, meta, digest, threads):
-        table = generate_null_table(meta, threads=threads)
+    def test_table_bytes(self, meta, digest, threads):
+        assert hashlib.sha256(render_v1(golden_table(meta, threads))).hexdigest() == digest
+
+
+class TestGoldenBytesV2:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("meta,digest", V2_GOLDEN_TABLES)
+    def test_file_bytes(self, tmp_path, meta, digest, threads):
         path = tmp_path / "t.pnt"
-        save_table(table, str(path))
+        save_table(golden_table(meta, threads), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def run_cli_test(data_path, table_path):
+    """(exit code, stdout, stderr) of one in-process ``partitest test --format jsonl``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(
+            ["test", "--data", str(data_path), "--table", str(table_path), "--format", "jsonl"]
+        )
+    return code, out.getvalue(), err.getvalue()
+
+
+# v1 files written by save_table before v2 (their digests are the golden v1
+# digests), with the metas that generate them and data files that fit them.
+V1_FIXTURES = [
+    pytest.param(
+        "v1-ksample-sum-n6.pnt", KSAMPLE_GOLDEN_TABLES[0],
+        "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n1\t4.5\n2\t0.2\n",
+        marks=pytest.mark.ksample,
+    ),
+    pytest.param(
+        "v1-independence-ddp-n9.pnt", INDEPENDENCE_GOLDEN_TABLES[3],
+        "".join(f"{x}\t{(3 * x) % 9}\n" for x in range(9)),
+        marks=pytest.mark.independence,
+    ),
+]
+
+
+class TestV1Fixtures:
+    @pytest.mark.parametrize("name,golden,data", V1_FIXTURES)
+    def test_loads_to_the_generated_table(self, name, golden, data):
+        meta, digest, _ = golden
+        path = DATA_DIR / name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        loaded, table = load_table(str(path)), generate_null_table(meta)
+        assert loaded.meta == table.meta
+        assert loaded.data.tobytes() == table.data.tobytes()
+
+    @pytest.mark.parametrize("name,golden,data", V1_FIXTURES)
+    def test_cli_line_unchanged_by_a_v2_resave(self, tmp_path, name, golden, data):
+        data_path, resaved = tmp_path / "d.tsv", tmp_path / "v2.pnt"
+        data_path.write_text(data, encoding="utf-8")
+        save_table(load_table(str(DATA_DIR / name)), str(resaved))
+        assert hashlib.sha256(resaved.read_bytes()).hexdigest() == golden[2]
+        old, new = (run_cli_test(data_path, path) for path in (DATA_DIR / name, resaved))
+        assert old[0] == 0 and old[1].count("\n") == 1
+        assert new == old
+
+
+# A Monte Carlo table, so #B can change without failing the exact-count check.
+V2_ERROR_META = ksample_meta(n=20, group_sizes=(10, 10), b=100)
+V2_ERROR_DATA = "".join(f"{1 + i % 2}\t{i * 0.37 % 5}\n" for i in range(20))
+BODY_LENGTH = "body holds {} bytes where B={} rows of m_max - 1 = {} float64 values need {}"
+
+
+def flip_byte(raw: bytes, at: int, mask: int = 1) -> bytes:
+    return raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :]
+
+
+def digest_line(raw: bytes) -> bytes:
+    return raw.split(b"\n")[10] + b"\n"
+
+
+class TestV2ReaderErrors:
+    """Every malformed v2 file is one ValueError line, and exit 4 from ``partitest test``."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: raw[:-8], BODY_LENGTH.format(2392, 100, 3, 2400)),
+            (lambda raw: raw[:-2400], BODY_LENGTH.format(0, 100, 3, 2400)),
+            (lambda raw: raw[:-2401],
+             "unsupported body line b'#body=f8le', not b'#body=f8le\\n'"),
+            (lambda raw: raw + b"\n", BODY_LENGTH.format(2401, 100, 3, 2400)),
+            (lambda raw: flip_byte(raw, len(raw) - 100),
+             "sha256 digest does not match the file's contents"),
+            (lambda raw: raw.replace(b"#seed=5\n", b"#seed=4\n"),
+             "sha256 digest does not match the file's contents"),
+            (lambda raw: raw.replace(digest_line(raw), b""),
+             "no #sha256= line before the #body= line"),
+            (lambda raw: raw.replace(digest_line(raw), digest_line(raw)[:-2] + b"\n"),
+             "malformed #sha256= line: want 64 lowercase hex digits"),
+            (lambda raw: raw.replace(digest_line(raw), b"#sha256=" + b"g" * 64 + b"\n"),
+             "malformed #sha256= line: want 64 lowercase hex digits"),
+            (lambda raw: raw.replace(b"#body=f8le\n", b""), "header has no #body= line"),
+            (lambda raw: raw.replace(b"#body=f8le\n", b"#body=f8be\n"),
+             "unsupported body line b'#body=f8be\\n', not b'#body=f8le\\n'"),
+            (lambda raw: raw.replace(b"#B=100\n", b"#B=99\n"),
+             BODY_LENGTH.format(2400, 99, 3, 2376)),
+            (lambda raw: raw.replace(b"#m_max=4\n", b"#m_max=3\n"),
+             BODY_LENGTH.format(2400, 100, 2, 1600)),
+            (lambda raw: raw.replace(b"#B=100\n", b"#B=0\n"),
+             "B=0: a table holds at least one row"),
+            (lambda raw: raw.replace(b"#N=20\n", b""), "missing header key: N"),
+            (lambda raw: raw.replace(b"#N=20\n", b"#N=2\xff\n"),
+             "header line 5 is not UTF-8 text"),
+            (lambda raw: raw.replace(b"#PNT v2\n", b"#PNT v2\r\n", 1),
+             "malformed version line: a v2 file starts with '#PNT v2' and LF"),
+        ],
+        ids=[
+            "truncated", "body-cut", "cut-in-body-line", "trailing-newline",
+            "flipped-body-byte", "edited-header", "no-digest", "short-digest", "non-hex-digest", "no-body-line", "other-body-encoding",
+            "B-disagrees", "m_max-disagrees", "B-zero", "missing-key", "non-utf8-header",
+            "crlf-version-line",
+        ],
+    )
+    def test_one_line_error_and_exit_4(self, tmp_path, edit, message):
+        path = tmp_path / "t.pnt"
+        save_table(generate_null_table(V2_ERROR_META), str(path))
+        path.write_bytes(edit(path.read_bytes()))
+        self.assert_rejected(tmp_path, path, message)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_under_a_correct_digest(self, tmp_path, value):
+        table = generate_null_table(V2_ERROR_META)
+        data = table.data.copy()
+        data[7, 1] = value
+        path = tmp_path / "t.pnt"
+        save_table(NullTable(meta=table.meta, data=data), str(path))
+        self.assert_rejected(tmp_path, path, "non-finite statistic in table")
+
+    @staticmethod
+    def assert_rejected(tmp_path, path, message):
+        with pytest.raises(ValueError) as info:
+            load_table(str(path))
+        assert str(info.value) == message
+        data_path = tmp_path / "d.tsv"
+        data_path.write_text(V2_ERROR_DATA, encoding="utf-8")
+        assert run_cli_test(data_path, path) == (
+            4, "", f"error: bad table file {path}: {message}\n"
+        )
+
+
+# v2 fuzz: header lines replaced, dropped, inserted or repeated, then any
+# byte flipped and the file cut at any offset.
+V2_HEADER_LINES = 12
+V2_FUZZ_LINES = st.one_of(
+    FUZZ_LINES,
+    st.sampled_from(
+        ["#PNT v1", "#PNT v2", "#B=5", "#B=7", "#seed=6", "#exact=0", "#m_max=3", "#N=5",
+         "#groups=1,3", "#sha256=" + "0" * 64, "#body=f8le", "#body=f8be"]
+    ),
+)
+V2_FUZZ_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("replace"), st.integers(0, 10**6), V2_FUZZ_LINES),
+        st.tuples(st.just("insert"), st.integers(0, 10**6), V2_FUZZ_LINES),
+        st.tuples(st.just("drop"), st.integers(0, 10**6)),
+        st.tuples(st.just("repeat"), st.integers(0, 10**6)),
+        st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    ),
+    max_size=3,
+)
+
+
+def mutated_v2_bytes(raw: bytes, edits) -> bytes:
+    """A v2 file with header-line edits, then byte flips and cuts, in edit order."""
+    header = raw.split(b"\n")[:V2_HEADER_LINES]
+    body = raw[sum(len(line) + 1 for line in header) :]
+    for edit in (e for e in edits if e[0] in ("replace", "insert", "drop", "repeat")):
+        i = edit[1] % len(header) if header else 0
+        if edit[0] == "replace" and header:
+            header[i] = edit[2].encode("utf-8")
+        elif edit[0] == "insert":
+            header.insert(edit[1] % (len(header) + 1), edit[2].encode("utf-8"))
+        elif edit[0] == "drop" and header:
+            del header[i]
+        elif header:
+            header.insert(i, header[i])
+    data = b"".join(line + b"\n" for line in header) + body
+    for edit in (e for e in edits if e[0] in ("flip", "truncate")):
+        if edit[0] == "flip" and data:
+            data = flip_byte(data, edit[1] % len(data), edit[2])
+        elif edit[0] == "truncate":
+            data = data[: edit[1] % (len(data) + 1)]
+    return data
+
+
+class TestV2ReaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(range(len(FUZZ_TABLES))), edits=V2_FUZZ_EDITS)
+    @example(case=0, edits=[])
+    @example(case=0, edits=[("truncate", 0)])
+    @example(case=1, edits=[("flip", 6, 3)])  # '#PNT v1'
+    @example(case=0, edits=[("flip", 6, 1)])  # '#PNT v3'
+    @example(case=0, edits=[("replace", 9, "#exact=0")])
+    @example(case=1, edits=[("repeat", 10)])  # two #sha256= lines
+    @example(case=0, edits=[("repeat", 3)])  # a repeated key line, as v1 allows
+    @example(case=1, edits=[("insert", 11, "#x=1")])
+    @example(case=0, edits=[("flip", 10**6, 0x80)])
+    def test_original_table_or_value_error(self, case, edits):
+        meta, data_text = FUZZ_TABLES[case]
+        table = generate_null_table(meta)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.pnt")
+            save_table(table, path)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(mutated_v2_bytes(raw, edits))
+            got = outcome(load_table, path)
+            data_path = os.path.join(tmp, "d.tsv")
+            with open(data_path, "w", encoding="utf-8") as fh:
+                fh.write(data_text)
+            code, _, err = run_cli_test(data_path, path)
+        if isinstance(got, Exception):
+            assert isinstance(got, ValueError), repr(got)
+            assert code == 4
+            assert err.startswith("error: bad table file")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert got == (table.meta, table.data.tobytes())
+            assert code == 0, err
 
 
 class TestCombinedNull:

@@ -120,7 +120,9 @@ class TestScenarioFiles:
         path = tmp_path / "scn.txt"
         path.write_text(f"name=x\nfamily={family}\n{valid}")
         parse_scenario_file(str(path))
-        path.write_text(f"name=x\nfamily={family}\n{valid}{change}\n")
+        key = change.split("=")[0]
+        edited = [change if line.split("=")[0] == key else line for line in valid.splitlines()]
+        path.write_text(f"name=x\nfamily={family}\n" + "".join(f"{line}\n" for line in edited))
         with pytest.raises(ValueError, match=message):
             parse_scenario_file(str(path))
 
