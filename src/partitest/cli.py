@@ -81,6 +81,17 @@ def _parse_prior(text: str | None) -> PriorSpec | None:
     raise CliError(f"unknown prior {name!r}; choose poisson, uniform:K, binomial:p or ds:lambda0")
 
 
+def _prior_for(args, family: str) -> PriorSpec | None:
+    """The --prior of a test or power study, checked against --combine and the table's family."""
+    prior = _parse_prior(args.prior)
+    if args.combine == "penalized":
+        if prior is None:
+            raise CliError("--combine penalized needs --prior")
+        if prior.variant == "ds" and family != "max":
+            raise CliError(f"--prior ds applies to max tables only; the table's family is {family}")
+    return prior
+
+
 def _read_tsv(path: str, kind: str):
     """Parse a two-column data file; kind is 'ksample' or 'independence'."""
     left, right = [], []
@@ -181,6 +192,7 @@ def _load_table_checked(path: str):
 def cmd_test(args) -> int:
     table = _load_table_checked(args.table)
     meta = table.meta
+    prior = _prior_for(args, meta.family)
     left, right = _read_tsv(args.data, meta.problem)
     try:
         if meta.problem == "ksample":
@@ -192,9 +204,6 @@ def cmd_test(args) -> int:
             )
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    prior = _parse_prior(args.prior)
-    if args.combine == "penalized" and prior is None:
-        raise CliError("--combine penalized needs --prior")
     try:
         result = run_test(data, table, args.combine, prior)
     except ValueError as exc:
@@ -299,7 +308,7 @@ def cmd_simulate(args) -> int:
     if not args.table:
         raise CliError("--table is required unless --emit is given")
     table = _load_table_checked(args.table)
-    prior = _parse_prior(args.prior)
+    prior = _prior_for(args, table.meta.family)
     try:
         report = power_study(spec, table, args.combine, prior, threads=args.threads)
     except ValueError as exc:

@@ -94,6 +94,15 @@ class RankedSample:
         _check_permutation(ranks)
         object.__setattr__(self, "ranks", _freeze(ranks))
 
+    @classmethod
+    def _trusted(cls, ranks: np.ndarray, tie_seed: int) -> "RankedSample":
+        """Wrap a fresh int64 permutation of 1..N without re-checking it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ranks", _freeze(ranks))
+        object.__setattr__(self, "n", ranks.size)
+        object.__setattr__(self, "tie_seed", tie_seed)
+        return self
+
 
 def rank_with_random_ties(values, tie_seed: int = 0) -> RankedSample:
     """Rank a sample into 1..N, breaking ties by a seeded shuffle.
@@ -120,7 +129,7 @@ def rank_with_random_ties(values, tie_seed: int = 0) -> RankedSample:
         order = np.lexsort((seeded_generator(tie_seed).permutation(n), arr))
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
-    return RankedSample(ranks=ranks, n=n, tie_seed=tie_seed)
+    return RankedSample._trusted(ranks, tie_seed)
 
 
 @dataclass(frozen=True)
@@ -150,23 +159,35 @@ class GroupedSample:
             raise ValueError("every group must be non-empty")
         if tuple(int(s) for s in sizes) != tuple(self.group_sizes):
             raise ValueError("group_sizes do not match the labels")
+        self._set_labels(labels, tuple(int(s) for s in self.group_sizes))
+
+    def _set_labels(self, labels: np.ndarray, group_sizes: tuple[int, ...]) -> None:
         object.__setattr__(self, "labels", _freeze(labels))
-        object.__setattr__(self, "group_sizes", tuple(int(s) for s in self.group_sizes))
-        by_rank = np.empty(n, dtype=np.int64)
+        object.__setattr__(self, "group_sizes", group_sizes)
+        by_rank = np.empty(labels.size, dtype=np.int64)
         by_rank[self.y_ranks.ranks - 1] = labels
         object.__setattr__(self, "_labels_by_rank", _freeze(by_rank))
 
     @classmethod
     def from_values(cls, labels, values, tie_seed: int = 0) -> "GroupedSample":
-        """Build from raw labels and responses; labels may be any sortable tokens."""
+        """Build from raw labels and responses; labels may be any sortable tokens.
+
+        The labels are coded and counted, and the values ranked, once here;
+        the result is not checked again.
+        """
         raw = np.asarray(labels)
         uniq = np.unique(raw)
         if uniq.size < 2:
             raise ValueError("need at least two groups")
-        coded = np.searchsorted(uniq, raw) + 1
+        coded = np.ascontiguousarray(np.searchsorted(uniq, raw) + 1, dtype=np.int64)
         sizes = tuple(int(c) for c in np.bincount(coded, minlength=uniq.size + 1)[1:])
         ranked = rank_with_random_ties(values, tie_seed)
-        return cls(labels=coded, y_ranks=ranked, group_sizes=sizes)
+        if coded.size != ranked.n:
+            raise ValueError("labels length must equal sample size")
+        self = object.__new__(cls)
+        object.__setattr__(self, "y_ranks", ranked)
+        self._set_labels(coded, sizes)
+        return self
 
     @property
     def n(self) -> int:

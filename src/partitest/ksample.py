@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     GroupedSample,
@@ -85,15 +84,19 @@ class PriorSpec:
     def log_prior_m(self, ms, n: int) -> np.ndarray:
         """log pi(m) for an array of partition sizes (not defined for ``ds``)."""
         ms = np.asarray(ms, dtype=float)
+        if self.variant == "uniform":
+            return np.full(ms.shape, -math.log(self.k_levels))
+        if self.variant == "ds":
+            raise ValueError("ds prior has no standalone log pi(m); it is an additive penalty")
+        # scipy.special loads here, on first use, not with the package: it
+        # would more than double the start-up of every path without a prior.
+        from scipy.special import gammaln
+
         if self.variant == "poisson-sqrt-n":
             rate = math.sqrt(n)
             return ms * math.log(rate) - rate - gammaln(ms + 1.0)
-        if self.variant == "binomial":
-            logc = gammaln(n) - gammaln(ms) - gammaln(n - ms + 1.0)
-            return logc + ms * math.log(self.p) + (n - ms) * math.log1p(-self.p)
-        if self.variant == "uniform":
-            return np.full(ms.shape, -math.log(self.k_levels))
-        raise ValueError("ds prior has no standalone log pi(m); it is an additive penalty")
+        logc = gammaln(n) - gammaln(ms) - gammaln(n - ms + 1.0)  # binomial
+        return logc + ms * math.log(self.p) + (n - ms) * math.log1p(-self.p)
 
 
 def penalize(values, family: str, n: int, prior: PriorSpec):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import GroupedSample, chunk_map, rank_with_random_ties, seeded_generator
 from .ksample import PriorSpec
@@ -267,6 +266,8 @@ def _chol2(cov: tuple[float, float, float]) -> np.ndarray:
 
 def generate_scenario(spec: ScenarioSpec, replicate_index: int):
     """One deterministic dataset: (labels, values) or (x, y) raw value arrays."""
+    from scipy.special import ndtri  # loaded on first use, as in PriorSpec.log_prior_m
+
     draw = _uniform_stream(spec.seed, replicate_index)
     family = spec.param("family")
     n = spec.n
@@ -372,6 +373,8 @@ def power_study(
         raise ValueError("table incompatible: group sizes differ")
     ms = tuple(int(m) for m in table.ms)
     table.combined_null(combined_kind, prior)  # build once, ship to workers
+    # Load ndtri once here, so forked workers inherit it instead of each importing scipy.
+    from scipy.special import ndtri  # noqa: F401
     parts = chunk_map(
         _power_chunk, (spec, table, combined_kind, prior), spec.replicates, threads
     )

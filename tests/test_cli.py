@@ -269,6 +269,67 @@ class TestTestCommand:
         assert any(ln.startswith("#final_pvalue=") for ln in lines)
 
 
+def _quiet_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# table family -> (nulltable options, test data, simulate scenario options)
+_COMBINE_CASES = {
+    "sum": (("--problem", "ksample", "--groups", "2,2", "--family", "sum"),
+            "1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n", ("--scenario", "null-equal", "--groups", "2,2")),
+    "max": (("--problem", "ksample", "--groups", "2,2", "--family", "max"),
+            "1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n", ("--scenario", "null-equal", "--groups", "2,2")),
+    "adp_sum": (("--problem", "independence", "--n", "4", "--family", "adp-sum"),
+                "0.3\t1.5\n0.1\t0.2\n0.9\t0.7\n0.5\t2.0\n", ("--scenario", "null-uniform")),
+    "ddp_sum": (("--problem", "independence", "--n", "4", "--family", "ddp-sum"),
+                "0.3\t1.5\n0.1\t0.2\n0.9\t0.7\n0.5\t2.0\n", ("--scenario", "null-uniform")),
+}
+
+
+@pytest.fixture(scope="module")
+def combine_tables(tmp_path_factory):
+    """One exact N=4 table and one data file per table family."""
+    root = tmp_path_factory.mktemp("combine")
+    paths = {}
+    for family, (options, data, _) in _COMBINE_CASES.items():
+        table, data_path = root / f"{family}.pnt", root / f"{family}.tsv"
+        code, _, err = _quiet_main("nulltable", *options, "--B", "100", "--out", str(table))
+        assert code == 0, err
+        data_path.write_text(data)
+        paths[family] = (str(table), str(data_path))
+    return paths
+
+
+class TestCombineAndPrior:
+    """Every --combine x --prior x table family is either run or refused as usage (exit 1)."""
+
+    @pytest.mark.parametrize("family", sorted(_COMBINE_CASES))
+    @pytest.mark.parametrize("prior", [None, "poisson", "uniform:3", "binomial:0.5", "ds:1"])
+    @pytest.mark.parametrize("combine", ["minp", "fisher", "penalized"])
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_exit_code(self, combine_tables, command, combine, prior, family):
+        table, data = combine_tables[family]
+        if command == "test":
+            argv = ["test", "--data", data]
+        else:
+            argv = ["simulate", *_COMBINE_CASES[family][2], "--n", "4", "--R", "3"]
+        argv += ["--table", table, "--combine", combine]
+        if prior is not None:
+            argv += ["--prior", prior]
+        code, out, err = _quiet_main(*argv)
+        refused = combine == "penalized" and (
+            prior is None or (prior.startswith("ds:") and family != "max")
+        )
+        assert code == (1 if refused else 0), err
+        assert len(err.splitlines()) <= 1
+        if refused:
+            assert out == "" and err.startswith("error: ")
+            assert "needs --prior" in err if prior is None else f"family is {family}" in err
+
+
 class TestMiCommand:
     def test_mi_reports_value(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

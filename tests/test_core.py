@@ -105,6 +105,53 @@ class TestGroupedSample:
         with pytest.raises(ValueError):
             GroupedSample(labels=np.array([1, 2, 2]), y_ranks=ranked, group_sizes=(2, 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])),
+            min_size=2, max_size=40,
+        ).filter(lambda rows: len({label for label, _ in rows}) >= 2),
+        st.integers(0, 2**64),
+    )
+    def test_from_values_equals_checked_constructors(self, rows, tie_seed):
+        # from_values validates its input once and builds the sample without
+        # the constructors' checks; it must equal what the checked path builds.
+        labels, values = zip(*rows)
+        fast = GroupedSample.from_values(labels, values, tie_seed)
+        uniq = sorted(set(labels))
+        coded = np.array([uniq.index(label) + 1 for label in labels])
+        ranks, seed = reference_rank_with_random_ties(values, tie_seed)
+        checked = GroupedSample(
+            labels=coded,
+            y_ranks=RankedSample(ranks, len(ranks), seed),
+            group_sizes=tuple(labels.count(u) for u in uniq),
+        )
+        assert fast.group_sizes == checked.group_sizes
+        assert all(type(size) is int for size in fast.group_sizes)
+        assert (fast.n, fast.y_ranks.tie_seed) == (checked.n, checked.y_ranks.tie_seed)
+        assert type(fast.n) is int and type(fast.y_ranks.tie_seed) is int
+        for got, want in (
+            (fast.labels, checked.labels),
+            (fast.labels_by_rank, checked.labels_by_rank),
+            (fast.y_ranks.ranks, checked.y_ranks.ranks),
+        ):
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert got.flags.writeable is want.flags.writeable is False
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "labels, values, message",
+        [
+            ([[1, 2], [1, 2]], [0.1, 0.2, 0.3, 0.4], "object too deep"),
+            ([1, 2, 1], [0.1, 0.2], "labels length must equal sample size"),
+            ([1, 2], [0.1, 0.2, 0.3], "labels length must equal sample size"),
+            ([1, 1, 1], [0.1, 0.2, 0.3], "need at least two groups"),
+        ],
+    )
+    def test_from_values_malformed_input(self, labels, values, message):
+        with pytest.raises(ValueError, match=message):
+            GroupedSample.from_values(labels, values, 0)
+
 
 class TestCellScore:
     def test_pearson_direct(self):
