@@ -84,11 +84,14 @@ def _parse_prior(text: str | None) -> PriorSpec | None:
 def _prior_for(args, family: str) -> PriorSpec | None:
     """The --prior of a test or power study, checked against --combine and the table's family."""
     prior = _parse_prior(args.prior)
-    if args.combine == "penalized":
-        if prior is None:
-            raise CliError("--combine penalized needs --prior")
-        if prior.variant == "ds" and family != "max":
-            raise CliError(f"--prior ds applies to max tables only; the table's family is {family}")
+    if args.combine != "penalized":
+        if prior is not None:
+            raise CliError(f"--prior applies to --combine penalized only, not {args.combine}")
+        return None
+    if prior is None:
+        raise CliError("--combine penalized needs --prior")
+    if prior.variant == "ds" and family != "max":
+        raise CliError(f"--prior ds applies to max tables only; the table's family is {family}")
     return prior
 
 

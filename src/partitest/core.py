@@ -88,7 +88,7 @@ class RankedSample:
     tie_seed: int
 
     def __post_init__(self):
-        ranks = np.ascontiguousarray(self.ranks, dtype=np.int64)
+        ranks = np.array(self.ranks, dtype=np.int64)  # a copy: the caller's array stays theirs
         if ranks.ndim != 1 or ranks.size != self.n:
             raise ValueError("rank vector length must equal N")
         _check_permutation(ranks)
@@ -145,7 +145,7 @@ class GroupedSample:
     group_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)  # a copy: the caller's array stays theirs
         n = self.y_ranks.n
         if labels.ndim != 1 or labels.size != n:
             raise ValueError("labels length must equal sample size")

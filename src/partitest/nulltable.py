@@ -108,22 +108,27 @@ class NullTable:
 
     A table caches what every test against it reads: one sorted copy of its
     columns, stored m-major so each m's null sample is one contiguous row, and
-    its combined null distributions.
+    its combined null distributions.  Every statistic must be finite.  A
+    caller's writeable array is copied, so it stays the caller's to change.
     """
 
     meta: NullTableMeta
     data: np.ndarray
     _sorted: np.ndarray | None = field(default=None, repr=False)
     _combined: dict = field(default_factory=dict, repr=False)
+    _minp_tested: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=float)
+        if not np.all(np.isfinite(data)):
+            raise ValueError("non-finite statistic in table")
         if data.ndim != 2 or data.shape[1] != self.meta.m_max - 1:
             raise ValueError("data shape must be (B, m_max - 1)")
         if data.shape[0] != self.meta.b:
             raise ValueError("row count must match meta.b")
-        data.flags.writeable = False
-        self.data = data
+        if data is self.data and data.flags.writeable:
+            data = data.copy()
+        self.data = _freeze(data)
 
     @property
     def b(self) -> int:
@@ -225,7 +230,7 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
     else:
         meta = replace(meta, exact=False)
     parts = chunk_map(_rows, (meta,), meta.b, threads)
-    return NullTable(meta=meta, data=np.vstack(parts))
+    return NullTable(meta=meta, data=_freeze(np.vstack(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +324,6 @@ def _meta_from_fields(fields: dict[str, str]) -> NullTableMeta:
     return meta
 
 
-def _finite_table(meta: NullTableMeta, data: np.ndarray) -> NullTable:
-    if not np.all(np.isfinite(data)):
-        raise ValueError("non-finite statistic in table")
-    return NullTable(meta=meta, data=data)
-
-
 def _load_v2(fh) -> NullTable:
     """A v2 file from its first line (binary mode)."""
     fh.readline()
@@ -367,7 +366,7 @@ def _load_v2(fh) -> NullTable:
     if digest.hexdigest().encode("ascii") != stored:
         raise ValueError("sha256 digest does not match the file's contents")
     data = np.frombuffer(body, dtype=_BODY_DTYPE).reshape(meta.b, meta.m_max - 1)
-    return _finite_table(meta, data)
+    return NullTable(meta=meta, data=data)
 
 
 def _data_lines(fh, fields: dict[str, str]):
@@ -428,7 +427,7 @@ def _load_v1(fh) -> NullTable:
             if message is None:
                 raise
             raise ValueError(message) from None
-    return _finite_table(_meta_from_fields(fields), data)
+    return NullTable(meta=_meta_from_fields(fields), data=_freeze(data))
 
 
 def load_table(path: str) -> NullTable:
@@ -498,6 +497,20 @@ def _tail_pvalues(below: np.ndarray, b: int) -> np.ndarray:
     return below
 
 
+def _below_counts(table: NullTable, values: np.ndarray) -> np.ndarray:
+    """#{v < x} of each value of statistic rows in its m's sorted null row: int (R, m)."""
+    rows = np.atleast_2d(values)
+    null_rows = table._sorted_rows()
+    if rows.shape[0] == 1:
+        # one observed row: a scalar search per m, without a 1-element array per call
+        searches = map(np.ndarray.searchsorted, null_rows, rows[0].tolist())
+        return np.fromiter(searches, dtype=np.intp, count=len(null_rows)).reshape(rows.shape)
+    below = np.empty(rows.shape, dtype=np.intp)
+    for j, null_row in enumerate(null_rows):
+        below[:, j] = null_row.searchsorted(rows[:, j], side="left")
+    return below
+
+
 def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
     """Per-m p-values of statistic rows against the table's own sorted rows.
 
@@ -505,17 +518,7 @@ def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
     its p-values in the same order whether it is one observed row or one of
     the table's own rows.
     """
-    rows = np.atleast_2d(values)
-    null_rows = table._sorted_rows()
-    if rows.shape[0] == 1:
-        # one observed row: a scalar search per m, without a 1-element array per call
-        searches = map(np.ndarray.searchsorted, null_rows, rows[0].tolist())
-        below = np.fromiter(searches, dtype=float, count=len(null_rows))
-        return _tail_pvalues(below.reshape(rows.shape), table.b)
-    below = np.empty(rows.shape)
-    for j, null_row in enumerate(null_rows):
-        below[:, j] = null_row.searchsorted(rows[:, j], side="left")
-    return _tail_pvalues(below, table.b)
+    return _tail_pvalues(_below_counts(table, values).astype(float), table.b)
 
 
 def _self_pvalue_rows(table: NullTable) -> np.ndarray:
@@ -564,6 +567,24 @@ def combined_null_distribution(
     return np.sort(combined_statistic(_self_pvalue_rows(table), kind))
 
 
+def _minp_tail_count(table: NullTable, below: np.ndarray) -> int:
+    """#{replicates whose minp is at most the observed one}, without the minp null.
+
+    ``below`` holds the observed row's per-m counts c_j = #{v < x_j}; its
+    minp is (B + 1 - c*)/(B + 1) with c* = max c_j.  That rule is strictly
+    decreasing in the integer count, so a replicate's minp is at most the
+    observed one exactly when one of its own counts reaches c*, that is,
+    when one of its values exceeds the c*-th smallest of its column.  The
+    count therefore equals ``searchsorted(combined_null("minp"), minp,
+    "right")`` for any finite table, ties and signed zeros included.
+    """
+    c = int(below.max())
+    if c == 0:
+        return table.b
+    kth = table._sorted_rows()[:, c - 1]
+    return int(np.count_nonzero((table.data > kth).any(axis=1)))
+
+
 @dataclass(frozen=True)
 class TestResult:
     """Per-m p-values plus the combined statistic and its final p-value."""
@@ -606,14 +627,22 @@ def run_test(data, table: NullTable, kind: str = "minp", prior: PriorSpec | None
         raise ValueError(f"unknown combination kind: {kind!r}")
     meta = table.meta
     observed = _row_statistics(meta, _observed_arrangement(data, meta))
-    pvec = _per_m_pvalue_rows(table, observed)[0]
-    null_combined = table.combined_null(kind, prior)
+    below = _below_counts(table, observed)
+    pvec = _tail_pvalues(below.astype(float), table.b)[0]
+    # a table's first minp test counts its tail directly; its second builds
+    # the null, which every later test then searches
+    direct = kind == "minp" and not (table._minp_tested or "minp" in table._combined)
+    if kind == "minp":
+        table._minp_tested = True
+    null_combined = None if direct else table.combined_null(kind, prior)
     if kind == "penalized":
         stat = float(penalize(observed, meta.family, meta.n, prior))
     else:
         stat = combined_statistic(pvec, kind)
     b = table.b
-    if kind == "minp":
+    if direct:
+        extreme = _minp_tail_count(table, below)
+    elif kind == "minp":
         extreme = int(np.searchsorted(null_combined, stat, side="right"))
     else:
         extreme = b - int(np.searchsorted(null_combined, stat, side="left"))

@@ -320,14 +320,37 @@ class TestCombineAndPrior:
         if prior is not None:
             argv += ["--prior", prior]
         code, out, err = _quiet_main(*argv)
-        refused = combine == "penalized" and (
-            prior is None or (prior.startswith("ds:") and family != "max")
-        )
+        if combine != "penalized":
+            expected_error = None if prior is None else f"not {combine}"
+        elif prior is None:
+            expected_error = "needs --prior"
+        elif prior.startswith("ds:") and family != "max":
+            expected_error = f"family is {family}"
+        else:
+            expected_error = None
+        refused = expected_error is not None
         assert code == (1 if refused else 0), err
         assert len(err.splitlines()) <= 1
         if refused:
             assert out == "" and err.startswith("error: ")
-            assert "needs --prior" in err if prior is None else f"family is {family}" in err
+            assert expected_error in err
+
+    @pytest.mark.parametrize("combine", ["minp", "fisher"])
+    def test_prior_without_penalized_test_exits_1(self, combine_tables, combine):
+        table, data = combine_tables["max"]
+        argv = ["test", "--data", data, "--table", table, "--combine", combine, "--prior", "ds:1"]
+        assert _quiet_main(*argv) == (
+            1, "", f"error: --prior applies to --combine penalized only, not {combine}\n"
+        )
+
+    @pytest.mark.parametrize("combine", ["minp", "fisher"])
+    def test_prior_without_penalized_simulate_exits_1(self, combine_tables, combine):
+        table, _ = combine_tables["max"]
+        argv = ["simulate", *_COMBINE_CASES["max"][2], "--n", "4", "--R", "3", "--table", table,
+                "--combine", combine, "--prior", "poisson"]
+        assert _quiet_main(*argv) == (
+            1, "", f"error: --prior applies to --combine penalized only, not {combine}\n"
+        )
 
 
 class TestMiCommand:

@@ -139,6 +139,17 @@ class TestGroupedSample:
             assert got.flags.writeable is want.flags.writeable is False
             assert got.flags.c_contiguous
 
+    def test_constructors_leave_the_callers_arrays_writeable(self):
+        ranks = np.array([3, 1, 2], dtype=np.int64)
+        labels = np.array([2, 1, 1], dtype=np.int64)
+        ranked = RankedSample(ranks, 3, 0)
+        grouped = GroupedSample(labels=labels, y_ranks=ranked, group_sizes=(2, 1))
+        assert ranks.flags.writeable and labels.flags.writeable
+        for owned in (ranked.ranks, grouped.labels, grouped.labels_by_rank):
+            assert not owned.flags.writeable and owned.flags.c_contiguous
+        ranks[0], labels[0] = 2, 1
+        assert ranked.ranks.tolist() == [3, 1, 2] and grouped.labels.tolist() == [2, 1, 1]
+
     @pytest.mark.parametrize(
         "labels, values, message",
         [

@@ -29,13 +29,18 @@ from partitest import (
     ksample_max_all_m,
     ksample_sum_all_m,
     load_table,
+    make_scenario,
     p_value,
+    power_study,
     run_test,
     save_table,
 )
+from partitest.simulate import dataset_for_test
 from partitest.nulltable import (
     _base_labels,
+    _below_counts,
     _mc_arrangement,
+    _minp_tail_count,
     _multiset_permutations,
     _per_m_pvalue_rows,
     _self_pvalue_rows,
@@ -739,11 +744,16 @@ class TestV2ReaderErrors:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_under_a_correct_digest(self, tmp_path, value):
+        # NullTable holds finite values only, so the value is written into the
+        # saved body and the digest recomputed over the edited file
         table = generate_null_table(V2_ERROR_META)
-        data = table.data.copy()
-        data[7, 1] = value
         path = tmp_path / "t.pnt"
-        save_table(NullTable(meta=table.meta, data=data), str(path))
+        save_table(table, str(path))
+        raw = path.read_bytes()
+        at = len(raw) - table.data.nbytes + 8 * (7 * table.data.shape[1] + 1)
+        raw = raw[:at] + np.array([value], dtype="<f8").tobytes() + raw[at + 8 :]
+        digest = hashlib.sha256(raw.replace(digest_line(raw), b"")).hexdigest()
+        path.write_bytes(raw.replace(digest_line(raw), b"#sha256=" + digest.encode() + b"\n"))
         self.assert_rejected(tmp_path, path, "non-finite statistic in table")
 
     @staticmethod
@@ -1150,3 +1160,165 @@ class TestRunTest:
             lo = p_value(float(cols[10, j]), cols[:, j])
             hi = p_value(float(cols[10, j]) + 1e-9, cols[:, j])
             assert hi <= lo
+
+
+def assert_minp_count_matches_search(table, rows):
+    """The direct minp tail count of each row equals a search of the minp null."""
+    rows = np.atleast_2d(rows)
+    below = _below_counts(table, rows)
+    assert below.dtype.kind == "i"
+    stats = combined_statistic(_per_m_pvalue_rows(table, rows), "minp")
+    searched = np.searchsorted(table.combined_null("minp"), stats, side="right")
+    counted = [_minp_tail_count(table, row) for row in below]
+    assert counted == searched.tolist()
+
+
+# exact tables whose columns are heavily tied: 252, 1680 and 5040 rows
+MINP_EXACT_TABLES = [
+    ksample_meta(n=10, group_sizes=(5, 5), m_max=10),
+    ksample_meta(family="max", score="pearson", n=9, group_sizes=(3, 3, 3), m_max=9),
+    indep_meta(n=7, m_max=7),
+]
+MINP_EXACT_IDS = ["sum-10", "max-k3-9", "adp_sum-7"]
+
+
+@functools.cache
+def minp_exact_table(index):
+    table = generate_null_table(MINP_EXACT_TABLES[index])
+    assert table.meta.exact and table.b == (252, 1680, 5040)[index]
+    return table
+
+
+def minp_exact_datasets(table, count):
+    """Test inputs whose statistic rows are the table's first ``count`` rows."""
+    arrangements = table_arrangements(table.meta, count)
+    if table.meta.problem == "ksample":
+        return [grouped_from_arrangement(a) for a in arrangements]
+    n = table.meta.n
+    x = RankedSample(np.arange(1, n + 1), n, 0)
+    return [(x, RankedSample(np.asarray(a), n, 0)) for a in arrangements]
+
+
+def result_bytes(res):
+    return (
+        res.ms,
+        res.per_m_pvalues.tobytes(),
+        res.combined_kind,
+        res.combined_statistic.hex(),
+        res.final_pvalue.hex(),
+    )
+
+
+class TestNullTableInput:
+    def test_table_holds_finite_values_only(self):
+        meta = ksample_meta(n=10, group_sizes=(5, 5), m_max=4, b=100)
+        for value in (np.nan, np.inf, -np.inf):
+            data = np.ones((100, 3))
+            data[40, 1] = value
+            with pytest.raises(ValueError, match="^non-finite statistic in table$"):
+                NullTable(meta=meta, data=data)
+
+    def test_caller_array_stays_writeable(self):
+        meta = ksample_meta(n=10, group_sizes=(5, 5), m_max=4, b=100)
+        data = np.ones((100, 3))
+        table = NullTable(meta=meta, data=data)
+        assert data.flags.writeable and not table.data.flags.writeable
+        data[0, 0] = 2.0
+        assert table.data[0, 0] == 1.0
+
+
+class TestMinpTailCount:
+    """A table's first minp test counts its tail instead of building the minp null."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 40), m=st.integers(1, 5), data=st.data())
+    def test_random_tied_tables(self, b, m, data):
+        values = st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0, 7.0])
+        table_values = data.draw(st.lists(values, min_size=b * m, max_size=b * m))
+        observed = data.draw(st.lists(values, min_size=m, max_size=m))
+        meta = ksample_meta(n=10, group_sizes=(5, 5), m_max=m + 1, b=b)
+        table = NullTable(meta=meta, data=np.reshape(table_values, (b, m)))
+        assert_minp_count_matches_search(table, np.vstack([table.data, observed]))
+
+    def test_random_continuous_tables(self):
+        rng = np.random.default_rng(16)
+        for b, m in ((1, 1), (2, 3), (150, 1), (500, 8), (1000, 28)):
+            meta = ksample_meta(n=60, group_sizes=(30, 30), m_max=m + 1, b=b)
+            table = NullTable(meta=meta, data=rng.normal(size=(b, m)))
+            shifted = table.data[rng.integers(b, size=20)] + rng.normal(scale=0.3, size=(20, m))
+            assert_minp_count_matches_search(table, np.vstack([table.data, shifted]))
+
+    @pytest.mark.parametrize("index", range(3), ids=MINP_EXACT_IDS)
+    def test_exact_tables_every_row(self, index):
+        table = minp_exact_table(index)
+        assert_minp_count_matches_search(table, table.data)
+
+    @pytest.mark.parametrize("index", range(3), ids=MINP_EXACT_IDS)
+    def test_largest_count_zero_and_b(self, index):
+        table = minp_exact_table(index)
+        low = table.data.min(axis=0) - 1.0
+        high = table.data.max(axis=0) + 1.0
+        assert _below_counts(table, low).max() == 0
+        assert _minp_tail_count(table, _below_counts(table, low)[0]) == table.b
+        assert _below_counts(table, high).min() == table.b
+        assert _minp_tail_count(table, _below_counts(table, high)[0]) == 0
+        assert_minp_count_matches_search(table, [low, high])
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(17)
+        data = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(300, 4))
+        data[:, 0] = rng.choice([-0.0, 0.0], size=300)
+        assert np.signbit(data[:, 0]).any() and not np.signbit(data[:, 0]).all()
+        table = NullTable(meta=ksample_meta(n=10, group_sizes=(5, 5), m_max=5, b=300), data=data)
+        observed = [[-0.0, -0.0, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0], [-0.0, 1.0, -0.0, -1.0]]
+        assert_minp_count_matches_search(table, np.vstack([data, observed]))
+
+    @pytest.mark.parametrize("kind", ["minp", "fisher", "penalized"])
+    @pytest.mark.parametrize("index", range(3), ids=MINP_EXACT_IDS)
+    def test_first_second_and_prewarmed_tests_agree(self, index, kind):
+        table = minp_exact_table(index)
+        prior = PriorSpec.poisson_sqrt_n() if kind == "penalized" else None
+        prewarmed = NullTable(meta=table.meta, data=table.data)
+        prewarmed.combined_null(kind, prior)
+        datasets = minp_exact_datasets(table, 40)
+        for data in datasets[::8]:
+            fresh = NullTable(meta=table.meta, data=table.data)
+            first, second = (run_test(data, fresh, kind, prior) for _ in range(2))
+            warm = run_test(data, prewarmed, kind, prior)
+            assert result_bytes(first) == result_bytes(second) == result_bytes(warm)
+        for data in datasets:  # every later minp test searches the null
+            fresh = NullTable(meta=table.meta, data=table.data)
+            assert result_bytes(run_test(data, fresh, kind, prior)) == result_bytes(
+                run_test(data, prewarmed, kind, prior)
+            )
+
+    def test_minp_null_built_on_the_second_test(self):
+        table = generate_null_table(ksample_meta(n=20, group_sizes=(10, 10), m_max=6, b=300))
+        data = grouped_from_arrangement(table_arrangements(table.meta, 1)[0])
+        run_test(data, table, "fisher")
+        assert "minp" not in table._combined
+        run_test(data, table, "minp")
+        assert "minp" not in table._combined
+        run_test(data, table, "minp")
+        assert "minp" in table._combined
+        cached = table._combined["minp"]
+        run_test(data, table, "minp")
+        assert table._combined["minp"] is cached
+
+    def test_power_study_unchanged(self):
+        # rejections and per-m counts recorded before the direct count existed
+        table = generate_null_table(
+            ksample_meta(n=24, group_sizes=(12, 12), m_max=8, b=400, seed=7)
+        )
+        spec = make_scenario("gauss-shift", n=24, seed=3, replicates=60)
+        per_m = [17, 14, 13, 12, 11, 10, 11]
+        for kind, rejections in (("minp", 12), ("fisher", 13)):
+            report = power_study(spec, table, kind)
+            assert report.rejections == rejections
+            assert (report.per_m_rates * 60).round().astype(int).tolist() == per_m
+        # each replicate against a fresh table takes the direct count
+        fresh = [
+            run_test(dataset_for_test(spec, rep), NullTable(meta=table.meta, data=table.data))
+            for rep in range(spec.replicates)
+        ]
+        assert sum(res.final_pvalue <= spec.alpha for res in fresh) == 12
