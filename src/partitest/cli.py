@@ -427,6 +427,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return OK if exc.code in (0, None) else USAGE
     try:
+        for name in ("seed", "replicate", "tie_seed"):
+            if getattr(args, name, 0) < 0:
+                raise CliError(f"--{name.replace('_', '-')} must be non-negative")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -170,12 +170,10 @@ class GridCells:
     def _count_sums(yx, n: int) -> np.ndarray:
         """sum(o) per bucket: over the points, spans containing x times spans containing y."""
         cover = _span_cover_counts(n)
-        y_cover = cover[yx - 1]
-        q = np.empty((2, 2, n + 1, n + 1))
-        classes = (slice(0, n + 1), slice(n + 1, 2 * n + 2))
-        for xc in (0, 1):
-            for yc in (0, 1):
-                np.matmul(cover[:, classes[xc]].T, y_cover[:, classes[yc]], out=q[xc, yc])
+        # Integer entries below 2^53: exact in any BLAS order.  C-contiguous,
+        # as the contraction's rounding depends on the totals' layout.
+        q = (cover.T @ cover[yx - 1]).reshape(2, n + 1, 2, n + 1).transpose(0, 2, 1, 3)
+        q = np.ascontiguousarray(q)
         q[1, :, n] = 0.0  # the full-width x-span is not swept
         return q
 

@@ -498,31 +498,19 @@ def _tail_pvalues(below: np.ndarray, b: int) -> np.ndarray:
 
 
 def _below_counts(table: NullTable, values: np.ndarray) -> np.ndarray:
-    """#{v < x} of each value of statistic rows in its m's sorted null row: int (R, m)."""
+    """#{v < x} of each value of one statistic row in its m's sorted null row: int (1, m)."""
     rows = np.atleast_2d(values)
     null_rows = table._sorted_rows()
-    if rows.shape[0] == 1:
-        # one observed row: a scalar search per m, without a 1-element array per call
-        searches = map(np.ndarray.searchsorted, null_rows, rows[0].tolist())
-        return np.fromiter(searches, dtype=np.intp, count=len(null_rows)).reshape(rows.shape)
-    below = np.empty(rows.shape, dtype=np.intp)
-    for j, null_row in enumerate(null_rows):
-        below[:, j] = null_row.searchsorted(rows[:, j], side="left")
-    return below
-
-
-def _per_m_pvalue_rows(table: NullTable, values: np.ndarray) -> np.ndarray:
-    """Per-m p-values of statistic rows against the table's own sorted rows.
-
-    The result is C-contiguous (R, m), so a row's combined statistic reduces
-    its p-values in the same order whether it is one observed row or one of
-    the table's own rows.
-    """
-    return _tail_pvalues(_below_counts(table, values).astype(float), table.b)
+    # a scalar search per m, without a 1-element array per call
+    searches = map(np.ndarray.searchsorted, null_rows, rows[0].tolist())
+    return np.fromiter(searches, dtype=np.intp, count=len(null_rows)).reshape(rows.shape)
 
 
 def _self_pvalue_rows(table: NullTable) -> np.ndarray:
-    """``_per_m_pvalue_rows(table, table.data)``, counted from one sort per m.
+    """Per-m p-values of the table's own rows, counted from one sort per m.
+
+    The result is C-contiguous (B, m), so a row's combined statistic reduces
+    its p-values in the same order as the one observed row of ``run_test``.
 
     #{v < x} of a value in its own column is the position where its run of
     equal values starts in the column's sorted order.  That position does not

@@ -1,20 +1,22 @@
 """Definitional brute-force statistics used as ground truth in tests.
 
 Every function here enumerates partitions literally from their definitions
-and evaluates each one cell by cell.  Nothing is shared with the fast paths
-beyond the cumulative grid, and a hard enumeration budget makes accidental
-use on large inputs fail fast.  Not built for performance.
+and evaluates each one cell by cell: cells are counted through the
+cumulative grid's ``box_count``/``inner_count`` and scored by
+``core.cell_score``.  No fast path calls either, so the oracles stay
+independent of them, and a hard enumeration budget makes accidental use on
+large inputs fail fast.  Not built for performance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
-from .core import GroupedSample, RankedSample, ScoreKind, cumulative_count_grid
+from .core import GroupedSample, RankedSample, ScoreKind, cell_score, cumulative_count_grid
 
 __all__ = [
     "PartitionEnumeration",
@@ -39,6 +41,22 @@ def partition_count(problem: str, n: int, m: int) -> int:
     raise ValueError(f"unknown enumeration kind: {problem!r}")
 
 
+def _partitions(problem: str, n: int, m: int):
+    """Lazy partitions of size m: cut tuples (interval/grid) or point subsets.
+
+    Raises ValueError unless 2 <= m <= N and the count is within the budget.
+    """
+    if not 2 <= m <= n:
+        raise ValueError("m must lie in 2..N")
+    count = partition_count(problem, n, m)
+    if count > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {count} > {ENUMERATION_BUDGET}")
+    if problem == "ddp":
+        return combinations(range(n), m - 1)
+    cuts = combinations(range(1, n), m - 1)
+    return cuts if problem == "ksample" else product(cuts, repeat=2)
+
+
 @dataclass(frozen=True)
 class PartitionEnumeration:
     """Explicit list of partitions: cut tuples (interval/grid) or point subsets."""
@@ -48,100 +66,56 @@ class PartitionEnumeration:
 
     @classmethod
     def enumerate(cls, problem: str, n: int, m: int) -> "PartitionEnumeration":
-        count = partition_count(problem, n, m)
-        if count > ENUMERATION_BUDGET:
-            raise ValueError(f"enumeration budget exceeded: {count} > {ENUMERATION_BUDGET}")
-        if problem == "ksample":
-            parts = tuple(combinations(range(1, n), m - 1))
-        elif problem == "adp":
-            axis = tuple(combinations(range(1, n), m - 1))
-            parts = tuple((cx, cy) for cx in axis for cy in axis)
-        elif problem == "ddp":
-            parts = tuple(combinations(range(n), m - 1))
-        else:
-            raise ValueError(f"unknown enumeration kind: {problem!r}")
-        return cls(problem=problem, partitions=parts)
+        return cls(problem=problem, partitions=tuple(_partitions(problem, n, m)))
 
     def __len__(self) -> int:
         return len(self.partitions)
 
 
-def _score_fn(score):
-    score = ScoreKind.parse(score)
-    if score is ScoreKind.PEARSON:
-
-        def t_cell(o, e):
-            if e == 0.0:
-                return 0.0
-            return (o - e) ** 2 / e
-
-    else:
-
-        def t_cell(o, e):
-            if o == 0:
-                return 0.0
-            return o * math.log(o / e)
-
-    return t_cell
+def _sum_max(scores) -> tuple[float, float]:
+    """Correctly rounded sum and maximum of the partition scores."""
+    scores = list(scores)
+    return math.fsum(scores), max(scores)
 
 
 def oracle_ksample(sample: GroupedSample, score, m: int) -> tuple[float, float]:
     """Exhaustive (sum, max) of the partition score over all interval partitions."""
     n = sample.n
-    if not 2 <= m <= n:
-        raise ValueError("m must lie in 2..N")
-    count = partition_count("ksample", n, m)
-    if count > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {count} > {ENUMERATION_BUDGET}")
-    t_cell = _score_fn(score)
+    partitions = _partitions("ksample", n, m)
+    score = ScoreKind.parse(score)
     labels = sample.labels_by_rank
-    k = sample.k
-    cum = [[0] * (n + 1) for _ in range(k)]
-    for g in range(k):
-        row = cum[g]
-        for r in range(1, n + 1):
-            row[r] = row[r - 1] + (1 if labels[r - 1] == g + 1 else 0)
+    groups = range(1, sample.k + 1)
+    cum = [list(accumulate((int(lab == g) for lab in labels), initial=0)) for g in groups]
     frac = [ng / n for ng in sample.group_sizes]
-    scores = []
-    for cuts in combinations(range(1, n), m - 1):
-        bounds = (0,) + cuts + (n,)
+
+    def partition_score(cuts):
+        bounds = (0, *cuts, n)
         total = 0.0
-        for t in range(m):
-            lo, hi = bounds[t], bounds[t + 1]
-            w = hi - lo
-            for g in range(k):
-                total += t_cell(cum[g][hi] - cum[g][lo], w * frac[g])
-        scores.append(total)
-    return math.fsum(scores), max(scores)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for c, f in zip(cum, frac):
+                total += cell_score(c[hi] - c[lo], (hi - lo) * f, score)
+        return total
+
+    return _sum_max(map(partition_score, partitions))
 
 
 def oracle_adp(x: RankedSample, y: RankedSample, score, m: int) -> tuple[float, float]:
     """Exhaustive (sum, max) over all m x m grid partitions of the rank plane."""
     n = x.n
-    if not 2 <= m <= n:
-        raise ValueError("m must lie in 2..N")
-    count = partition_count("adp", n, m)
-    if count > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {count} > {ENUMERATION_BUDGET}")
-    t_cell = _score_fn(score)
-    a = cumulative_count_grid(x, y).a
-    axis_cuts = [(0,) + c + (n,) for c in combinations(range(1, n), m - 1)]
-    scores = []
-    for bx in axis_cuts:
-        for by in axis_cuts:
-            total = 0.0
-            for i in range(m):
-                for j in range(m):
-                    o = (
-                        a[bx[i + 1], by[j + 1]]
-                        - a[bx[i], by[j + 1]]
-                        - a[bx[i + 1], by[j]]
-                        + a[bx[i], by[j]]
-                    )
-                    e = (bx[i + 1] - bx[i]) * (by[j + 1] - by[j]) / n
-                    total += t_cell(o, e)
-            scores.append(total)
-    return math.fsum(scores), max(scores)
+    partitions = _partitions("adp", n, m)
+    score = ScoreKind.parse(score)
+    grid = cumulative_count_grid(x, y)
+
+    def partition_score(cuts):
+        bx, by = ((0, *c, n) for c in cuts)
+        total = 0.0
+        for rl, rh in zip(bx, bx[1:]):
+            for sl, sh in zip(by, by[1:]):
+                o = grid.box_count(rl + 1, rh, sl + 1, sh)
+                total += cell_score(o, (rh - rl) * (sh - sl) / n, score)
+        return total
+
+    return _sum_max(map(partition_score, partitions))
 
 
 def oracle_ddp(x: RankedSample, y: RankedSample, score, m: int) -> tuple[float, float]:
@@ -149,44 +123,26 @@ def oracle_ddp(x: RankedSample, y: RankedSample, score, m: int) -> tuple[float, 
 
     Each subset of m-1 sample points induces cut lines through its ranks;
     cells count only the points strictly inside, with expected counts
-    (inner width)(inner length)/(N - m + 1).
+    (inner width)(inner length)/(N - m + 1).  A cell of zero area is empty
+    and scores 0.
     """
     n = x.n
-    if not 2 <= m <= n:
-        raise ValueError("m must lie in 2..N")
-    count = partition_count("ddp", n, m)
-    if count > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {count} > {ENUMERATION_BUDGET}")
-    t_cell = _score_fn(score)
-    a = cumulative_count_grid(x, y).a
-    xr = x.ranks
-    yr = y.ranks
+    partitions = _partitions("ddp", n, m)
+    score = ScoreKind.parse(score)
+    grid = cumulative_count_grid(x, y)
     div = n - m + 1
-    scores = []
-    for pts in combinations(range(n), m - 1):
+
+    def partition_score(pts):
         sel = list(pts)
-        bx = (0,) + tuple(sorted(int(r) for r in xr[sel])) + (n + 1,)
-        by = (0,) + tuple(sorted(int(s) for s in yr[sel])) + (n + 1,)
+        bx, by = ((0, *sorted(int(r) for r in s.ranks[sel]), n + 1) for s in (x, y))
         total = 0.0
-        for i in range(m):
-            rl, rh = bx[i], bx[i + 1]
-            width = rh - rl - 1
-            if width <= 0:
-                continue
-            for j in range(m):
-                sl, sh = by[j], by[j + 1]
-                area = width * (sh - sl - 1)
-                if area <= 0:
-                    continue
-                o = (
-                    a[rh - 1, sh - 1]
-                    - a[rl, sh - 1]
-                    - a[rh - 1, sl]
-                    + a[rl, sl]
-                )
-                total += t_cell(o, area / div)
-        scores.append(total)
-    return math.fsum(scores), max(scores)
+        for rl, rh in zip(bx, bx[1:]):
+            for sl, sh in zip(by, by[1:]):
+                o = grid.inner_count(rl, rh, sl, sh)
+                total += cell_score(o, (rh - rl - 1) * (sh - sl - 1) / div, score)
+        return total
+
+    return _sum_max(map(partition_score, partitions))
 
 
 def oracle_hhg(x, y) -> float:

@@ -56,6 +56,8 @@ class ScenarioSpec:
                 raise ValueError("group sizes must sum to N")
             if min(self.group_sizes) < 1:
                 raise ValueError("group sizes must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not 0.0 < self.alpha < 1.0:

@@ -31,7 +31,7 @@ def random_rank_pair(rng: np.random.Generator, n: int):
 
 
 def golden_sweep() -> dict:
-    """Recorded float.hex values of the sum and max statistics, MI, HHG and `run_test`."""
+    """Recorded float.hex values: sum and max statistics, MI, HHG, `run_test` and the oracles."""
     return json.loads((Path(__file__).parent / "golden_sweep.json").read_text())
 
 
@@ -173,6 +173,22 @@ def reference_rank_with_random_ties(values, tie_seed: int):
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
     return ranks, int(tie_seed)
+
+
+def reference_pvalue_rows(table: NullTable, rows) -> np.ndarray:
+    """Per-m p-values (B + 1 - #{v < x}) / (B + 1) of statistic rows: C-contiguous (R, m).
+
+    One ``searchsorted`` per column of the sorted table over all rows; the
+    table's own rows (``_self_pvalue_rows``) and each observed row of
+    ``run_test`` must give these bits.
+    """
+    rows = np.atleast_2d(rows)
+    columns = np.sort(table.data, axis=0)
+    total = table.b + 1.0
+    pvals = np.empty(rows.shape)
+    for j in range(rows.shape[1]):
+        pvals[:, j] = (total - columns[:, j].searchsorted(rows[:, j], side="left")) / total
+    return pvals
 
 
 def render_v1(table: NullTable) -> bytes:

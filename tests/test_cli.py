@@ -920,3 +920,175 @@ class TestReaderFuzz:
                 fh.write(data)
             result = run_main(["simulate", "--params", path, "--emit"])
         assert_clean_exit(*result, {0, 4})
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["simulate", "--scenario", "gauss-shift", "--n", "10", "--seed", "-1", "--emit"], 1),
+        (["simulate", "--scenario", "gauss-shift", "--n", "10", "--replicate", "-1", "--emit"], 1),
+        (["simulate", "--params", "{scenario}", "--emit"], 4),
+        (["simulate", "--params", "{scenario}", "--table", "{ksample}", "--R", "5"], 4),
+        (["test", "--data", "{ksample_data}", "--table", "{ksample}", "--tie-seed", "-1"], 1),
+        (["mi", "--data", "{independence_data}", "--m", "2", "--tie-seed", "-1"], 1),
+    ],
+    ids=["seed", "replicate", "file-emit", "file-power", "test-tie-seed", "mi-tie-seed"],
+)
+def test_negative_seed_exits_with_one_error_line(tmp_path, fuzz_tables, argv, code):
+    files = dict(fuzz_tables)
+    for name, text in (
+        ("scenario", GAUSS_TEXT + "seed=-3\n"),
+        ("ksample_data", FUZZ_DATA["ksample"]),
+        ("independence_data", FUZZ_DATA["independence"]),
+    ):
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    result = run_main([arg.format(**files) for arg in argv])
+    assert_clean_exit(*result, {code})
+    assert result[2].endswith("must be non-negative\n")
+
+
+# Generated-input fuzz: data and scenario files written from scratch, not
+# edited from a valid file.  Integer fields draw negative values too.
+GEN_TOKENS = st.one_of(
+    st.integers(-(10**25), 10**25).map(str),
+    st.integers(-3, 4).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "x", "1e400", "-0", "0x10", "1,5", "#", "=", " 2.5 ", "١"]),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), max_size=4),
+)
+
+
+def ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+def int_lists(low, high, min_size=1, max_size=4):
+    return st.lists(st.integers(low, high), min_size=min_size, max_size=max_size).map(
+        lambda v: ",".join(map(str, v))
+    )
+
+
+def texts(*values):
+    return st.sampled_from(values)
+
+
+# The values each scenario-file field usually takes, and odd ones.  Integer
+# fields usually draw negative values too, and seeds values beyond 64 bits.
+SCENARIO_FIELDS = {
+    "name": (texts("g", "s x", ""), texts("")),
+    "problem": (texts("ksample", "independence"), texts("both", "")),
+    "family": (texts("gauss", "mixture2d", "shape", "uniform-independent"), texts("nope")),
+    "n": (ints(-2, 12), texts("1.5", "x", "")),
+    "groups": (int_lists(-1, 6, 2, 2), int_lists(-2, 6)),
+    "seed": (st.one_of(ints(-3, -1), ints(0, 9), ints(2**63, 2**70)), texts("1.5", "")),
+    "replicates": (ints(-2, 5), texts("1e3")),
+    "alpha": (texts("0.05", "0.5"), texts("0", "1", "nan")),
+    "mu1": (ints(-2, 2), texts("inf", "")),
+    "mu2": (ints(-2, 2), texts("1,2")),
+    "sigma1": (ints(1, 2), ints(-1, 0)),
+    "sigma2": (ints(1, 2), ints(-1, 0)),
+    "weight1": (texts("0", "0.5", "1"), texts("2", "-1")),
+    "mean1": (int_lists(-2, 2, 2, 2), int_lists(-2, 2, 1, 3)),
+    "mean2": (int_lists(-2, 2, 2, 2), int_lists(-2, 2, 1, 3)),
+    "cov1": (texts("1,0,1", "1,0.5,1"), texts("1,2,1", "0,0,0", "1,1")),
+    "cov2": (texts("1,0,1", "2,-1,2"), texts("-1,0,1", "1")),
+    "shape": (texts("circle", "sine", "line"), texts("square")),
+    "noise": (texts("0", "0.5"), texts("-1", "inf")),
+    "frequency": (texts("1", "2.5"), texts("nan")),
+}
+FAMILY_KEYS = {
+    "gauss": ("ksample", ["groups", "mu1", "sigma1", "mu2", "sigma2"]),
+    "mixture2d": ("independence", ["weight1", "mean1", "cov1", "mean2", "cov2"]),
+    "shape": ("independence", ["shape", "noise"]),
+    "uniform-independent": ("independence", []),
+}
+
+
+@st.composite
+def generated_text(draw, lines):
+    """``lines`` with comments and blanks between them, in some encoding dress."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(texts("", "# c", " ")))
+    newline = draw(texts("\n", "\r\n", "\r"))
+    bom = BOM if draw(st.booleans()) else b""
+    return bom + "".join(text + newline for text in lines).encode("utf-8")
+
+
+@st.composite
+def scenario_line(draw):
+    """One line of any key, known or not, with any value of its kind or any token."""
+    key = draw(st.one_of(st.sampled_from(sorted(SCENARIO_FIELDS)), GEN_TOKENS))
+    value = draw(st.one_of(*SCENARIO_FIELDS.get(key, ()), GEN_TOKENS))
+    return draw(texts(f"{key}={value}", f" {key} = {value} ", key))
+
+
+@st.composite
+def scenario_files(draw):
+    """A scenario file of some family with up to two faults, lines in any order.
+
+    A fault is an odd value, a missing key, a stray line or a changed
+    problem; a gauss file's groups split n in halves unless a fault says not.
+    """
+    faults = draw(st.lists(texts("value", "drop", "stray", "problem"), max_size=2))
+    family = draw(SCENARIO_FIELDS["family"][0])
+    problem, keys = FAMILY_KEYS[family]
+    keys = ["name", "family", "n", *keys, "seed", *draw(st.sets(texts("replicates", "alpha")))]
+    fields = {key: draw(SCENARIO_FIELDS[key][0]) for key in keys}
+    fields["problem"] = problem
+    if fields.get("shape") == "sine":
+        fields["frequency"] = draw(SCENARIO_FIELDS["frequency"][0])
+    if "groups" in fields:
+        n = int(fields["n"])
+        fields["groups"] = f"{n // 2},{n - n // 2}"
+    for fault in faults:
+        key = draw(st.sampled_from(sorted(fields)))
+        if fault == "value":
+            fields[key] = draw(SCENARIO_FIELDS[key][1])
+        elif fault == "drop":
+            fields.pop(key, None)
+        elif fault == "problem":
+            fields["problem"] = draw(st.one_of(*SCENARIO_FIELDS["problem"]))
+    lines = [f"{key}={value}" for key, value in fields.items()]
+    lines += [draw(scenario_line()) for fault in faults if fault == "stray"]
+    return draw(generated_text(draw(st.permutations(lines))))
+
+
+def data_files(problem):
+    """A data file of rows: mostly two cells, mostly numbers (labels 1 and 2 for K samples)."""
+    number = st.one_of(st.floats(allow_nan=False).map(repr), ints(-5, 5))
+    value = st.one_of(number, number, GEN_TOKENS)
+    label = st.one_of(ints(1, 2), ints(1, 2), GEN_TOKENS) if problem == "ksample" else value
+    two = st.tuples(label, value).map("\t".join)
+    line = st.one_of(two, two, two, st.lists(GEN_TOKENS, max_size=3).map("\t".join))
+    rows = st.one_of(st.lists(two, min_size=4, max_size=4), st.lists(line, max_size=8))
+    return rows.flatmap(generated_text)
+
+
+class TestGeneratedInputFuzz:
+    """Every generated input ends in a documented exit code with at most one stderr line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        problem=st.sampled_from(sorted(FUZZ_DATA)),
+        command=st.sampled_from(["test", "mi"]),
+        data=st.data(),
+    )
+    def test_data_files(self, tmp_path_factory, fuzz_tables, problem, command, data):
+        path = tmp_path_factory.mktemp("gen") / "d.tsv"
+        path.write_bytes(data.draw(data_files(problem)))
+        if command == "test":
+            result = run_main(["test", "--data", str(path), "--table", fuzz_tables[problem]])
+            allowed = {0, 2, 4}
+        else:
+            result = run_main(["mi", "--data", str(path), "--m", "2"])
+            allowed = {0, 4}
+        assert_clean_exit(*result, allowed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=scenario_files())
+    def test_scenario_files(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("gen") / "s.txt"
+        path.write_bytes(text)
+        assert_clean_exit(*run_main(["simulate", "--params", str(path), "--emit"]), {0, 4})

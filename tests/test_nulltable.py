@@ -42,14 +42,20 @@ from partitest.nulltable import (
     _mc_arrangement,
     _minp_tail_count,
     _multiset_permutations,
-    _per_m_pvalue_rows,
     _self_pvalue_rows,
+    _tail_pvalues,
     exact_enumeration_count,
 )
 from partitest.cli import main as cli_main
 from partitest.oracle import oracle_ddp
 
-from helpers import golden_hhg_pair, golden_sweep, reference_load_table, render_v1
+from helpers import (
+    golden_hhg_pair,
+    golden_sweep,
+    reference_load_table,
+    reference_pvalue_rows,
+    render_v1,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -893,9 +899,14 @@ class TestCombinedNull:
         assert np.allclose(np.sort(direct), combined_null_distribution(table, "minp"))
 
 
+def observed_pvalues(table, row):
+    """Per-m p-values of one statistic row, as ``run_test`` computes them."""
+    return _tail_pvalues(_below_counts(table, row).astype(float), table.b)[0]
+
+
 def assert_self_ranks_match_searchsorted(table):
     """The table's own per-m p-values and combined nulls equal the searchsorted ones."""
-    searched = _per_m_pvalue_rows(table, table.data)
+    searched = reference_pvalue_rows(table, table.data)
     assert _self_pvalue_rows(table).tobytes() == searched.tobytes()
     for kind in ("minp", "fisher"):
         expected = np.sort(combined_statistic(searched, kind)).tobytes()
@@ -959,21 +970,19 @@ class TestPValueLayout:
     @pytest.mark.parametrize("meta", LAYOUT_TABLES, ids=LAYOUT_IDS)
     def test_table_rows_combine_like_observed_rows(self, meta):
         table = generate_null_table(meta)
-        pvals = _per_m_pvalue_rows(table, table.data)
+        pvals = _self_pvalue_rows(table)
         assert pvals.shape == table.data.shape
         assert pvals.flags.c_contiguous
         for kind in ("minp", "fisher"):
             matrix = combined_statistic(pvals, kind)
-            single = [
-                combined_statistic(_per_m_pvalue_rows(table, row)[0], kind) for row in table.data
-            ]
+            single = [combined_statistic(observed_pvalues(table, row), kind) for row in table.data]
             assert [v.hex() for v in matrix.tolist()] == [v.hex() for v in single]
             assert np.sort(matrix).tobytes() == table.combined_null(kind).tobytes()
 
     @pytest.mark.parametrize("meta", LAYOUT_TABLES, ids=LAYOUT_IDS)
     def test_run_test_on_a_table_row(self, meta):
         table = generate_null_table(meta)
-        pvals = _per_m_pvalue_rows(table, table.data)
+        pvals = reference_pvalue_rows(table, table.data)
         for kind in ("minp", "fisher"):
             matrix = combined_statistic(pvals, kind)
             for i, arrangement in enumerate(table_arrangements(table.meta, 10)):
@@ -1165,11 +1174,11 @@ class TestRunTest:
 def assert_minp_count_matches_search(table, rows):
     """The direct minp tail count of each row equals a search of the minp null."""
     rows = np.atleast_2d(rows)
-    below = _below_counts(table, rows)
-    assert below.dtype.kind == "i"
-    stats = combined_statistic(_per_m_pvalue_rows(table, rows), "minp")
+    below = [_below_counts(table, row) for row in rows]
+    assert all(counts.dtype.kind == "i" for counts in below)
+    stats = combined_statistic(reference_pvalue_rows(table, rows), "minp")
     searched = np.searchsorted(table.combined_null("minp"), stats, side="right")
-    counted = [_minp_tail_count(table, row) for row in below]
+    counted = [_minp_tail_count(table, counts) for counts in below]
     assert counted == searched.tolist()
 
 
