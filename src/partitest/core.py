@@ -394,18 +394,17 @@ def cumulative_count_grid(x_ranks, y_ranks) -> CumulativeCountGrid:
 
 
 @lru_cache(maxsize=32)
-def _xlogx_table(n: int) -> np.ndarray:
-    v = np.arange(n + 1, dtype=float)
+def _log_table(n: int) -> np.ndarray:
+    # math.log, not np.log: numpy's AVX-512 log misrounds a few integers
+    # (the first is 9170), so its table would depend on the CPU.
     out = np.zeros(n + 1)
-    out[1:] = v[1:] * np.log(v[1:])
+    out[1:] = np.fromiter(map(math.log, range(1, n + 1)), float, n)
     return _freeze(out)
 
 
 @lru_cache(maxsize=32)
-def _log_table(n: int) -> np.ndarray:
-    out = np.zeros(n + 1)
-    out[1:] = np.log(np.arange(1, n + 1, dtype=float))
-    return _freeze(out)
+def _xlogx_table(n: int) -> np.ndarray:
+    return _freeze(np.arange(n + 1) * _log_table(n))
 
 
 @lru_cache(maxsize=32)
@@ -443,13 +442,42 @@ def _span_weight_rows(n: int, m_max: int) -> np.ndarray:
     zero whenever an argument goes negative, which kills internal spans at
     m = 2 and the full-width span everywhere.
     """
-    binom = binomial_table(n)
+    choose = binomial_table(n).choose
     ws = np.arange(n + 1)
-    rows = np.empty((m_max - 1, 2 * (n + 1)))
-    for m in range(2, m_max + 1):
-        rows[m - 2, : n + 1] = binom.choose(n - 2 - ws, m - 3)
-        rows[m - 2, n + 1 :] = binom.choose(n - 1 - ws, m - 2)
-    return _freeze(rows)
+    ms = np.arange(2, m_max + 1)[:, None]
+    return _freeze(np.hstack((choose(n - 2 - ws, ms - 3), choose(n - 1 - ws, ms - 2))))
+
+
+@lru_cache(maxsize=64)
+def _point_weight_rows(n: int, m_max: int) -> np.ndarray:
+    """Partition-count weights per m over point-anchored (k, outer count) buckets.
+
+    Row m - 2 holds C(out, m-1-k) at k * (N+1) + out, for k = 1..4 defining
+    points and ``out`` outer points; the k = 0 columns are zero.
+    """
+    ks = np.arange(5)[:, None]
+    ms = np.arange(2, m_max + 1)[:, None, None]
+    rows = np.where(ks > 0, binomial_table(n).choose(np.arange(n + 1), ms - 1 - ks), 0.0)
+    return _freeze(rows.reshape(m_max - 1, 5 * (n + 1)))
+
+
+def _per_m_sums(rows: np.ndarray, totals: np.ndarray, ms, n: int) -> np.ndarray:
+    """``math.fsum`` of rows[i] * totals[..., i, :] for each m = ms[i] (totals broadcast).
+
+    Each product rounds once and each sum correctly, so no summation order,
+    memory layout or CPU changes a bit.  A product past double range is inf
+    or nan, and so is its sum: that raises ValueError naming the first m.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = rows * totals
+    values = _correctly_rounded_sums(p.reshape(-1, p.shape[-1])).reshape(p.shape[:-1])
+    overflow = ~np.isfinite(values).reshape(-1, len(ms)).all(axis=0)
+    if overflow.any():
+        m = ms[int(np.argmax(overflow))]
+        raise ValueError(
+            f"sum statistic overflows double precision from m={m} at N={n}; use m_max <= {m - 1}"
+        )
+    return values
 
 
 def _correctly_rounded_sums(p: np.ndarray) -> np.ndarray:

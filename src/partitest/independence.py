@@ -34,9 +34,10 @@ from .core import (
     _freeze,
     _log_table,
     _pair_index_cache,
+    _per_m_sums,
+    _point_weight_rows,
     _span_weight_rows,
     _xlogx_table,
-    binomial_table,
     y_by_x,
 )
 from .ksample import PriorSpec, penalize
@@ -92,14 +93,14 @@ def _lag_sorted_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _pearson_size_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Non-empty sizes, max(width * length, 1), and the summed expected counts."""
+    """Non-empty buckets, max(width * length, 1), and the summed expected counts."""
     ws = np.arange(n + 1, dtype=float)
-    wl = np.outer(ws, ws)
+    wl = np.tile(np.outer(ws, ws), (2, 2))
     internal = np.maximum(n - 1 - ws, 0)
     internal[0] = 0
     edge = np.where((ws >= 1) & (ws <= n - 1), 2.0, 0.0)
-    counts = (internal, edge)
-    expected = np.array([[np.outer(cx, cy) * wl / n for cy in counts] for cx in counts])
+    spans = np.concatenate((internal, edge))  # spans of each class and size
+    expected = np.outer(spans, spans) * wl / n
     return _freeze(wl > 0), _freeze(np.maximum(wl, 1.0)), _freeze(expected)
 
 
@@ -110,11 +111,13 @@ class GridCells:
     plane; its count o is the number of points inside.  Spans are internal
     (touching neither end of their axis) or edge spans, and the number of
     size-m partitions containing a cell depends only on the two classes and
-    the span sizes.  The sweep therefore totals the cell scores per
-    (x class, y class, width, length); :meth:`contract` then weights those
-    totals by partition counts, in O(N^2) per m.  The grid-sum statistics,
-    the ``adp_sum`` null-table rows and ``mi_adp`` all go through this class,
-    each with a y-by-x arrangement ``yx`` (:func:`core.y_by_x`), taken as valid.
+    the span sizes.  The sweep therefore totals the cell scores in one
+    matrix, row x class * (N+1) + width by column y class * (N+1) + length
+    (the column order of ``core._span_weight_rows``); :meth:`contract` then
+    weights those totals by partition counts, in O(N^2) per m, in an order
+    fixed on every CPU.  The grid-sum statistics, the ``adp_sum`` null-table
+    rows and ``mi_adp`` all go through this class, each with a y-by-x
+    arrangement ``yx`` (:func:`core.y_by_x`), taken as valid.
 
     The full-width x-span sits in no partition with an x cut and is skipped.
     Per bucket the sweep keeps sum(o), a closed form over the points (the
@@ -151,37 +154,28 @@ class GridCells:
         if nonempty and score is not ScoreKind.LIKELIHOOD_RATIO:
             raise ValueError("nonempty-cell counts come from the likelihood-ratio sweep")
         q = self._count_sums(yx, n)
-        z = None
         if score is ScoreKind.LIKELIHOOD_RATIO:
-            p = self._lr_sweep(grid.a, n)
-            if nonempty:
-                z = self._nonempty_counts(yx, grid.a, n)
-            lg = _log_table(n)
+            lg = np.tile(_log_table(n), 2)
             q *= lg[:, None] + lg[None, :] - math.log(n)
-            # Written into q so the totals are C-contiguous, as the contraction's
-            # BLAS calls (and so their rounding) depend on the memory layout.
-            self._totals = np.subtract(p, q, out=q)
+            self._totals = np.subtract(self._lr_sweep(grid.a, n), q, out=q)
         else:
             self._totals = self._pearson_totals(self._square_sweep(grid.a, n), q, n)
         self.n = n
-        self._nonempty = z
+        self._nonempty = self._nonempty_counts(yx, grid.a, n) if nonempty else None
 
     @staticmethod
     def _count_sums(yx, n: int) -> np.ndarray:
         """sum(o) per bucket: over the points, spans containing x times spans containing y."""
         cover = _span_cover_counts(n)
-        # Integer entries below 2^53: exact in any BLAS order.  C-contiguous,
-        # as the contraction's rounding depends on the totals' layout.
-        q = (cover.T @ cover[yx - 1]).reshape(2, n + 1, 2, n + 1).transpose(0, 2, 1, 3)
-        q = np.ascontiguousarray(q)
-        q[1, :, n] = 0.0  # the full-width x-span is not swept
+        q = cover.T @ cover[yx - 1]  # integers below 2^53: exact in any BLAS order
+        q[-1] = 0.0  # the full-width x-span is not swept
         return q
 
     @staticmethod
     def _lr_sweep(a: np.ndarray, n: int) -> np.ndarray:
         """sum(o log o) per bucket, every float sum in the order of a per-cell loop."""
         lut = _xlogx_table(n)
-        p = np.zeros((2, 2, n + 1, n + 1))
+        p = np.zeros((2, n + 1, 2, n + 1))
         lens = np.arange(1, n)
         for w in range(1, n):
             # d[c, lo]: the y cumulative count at cut c of the x-span (lo, lo+w].
@@ -198,10 +192,10 @@ class GridCells:
             # internal spans lo = 1..N-1-w, added one after another.
             for yc, t in ((0, inner), (1, edge)):
                 ls = slice(1, 1 + t.shape[0])
-                p[1, yc, w, ls] = t[:, 0] + t[:, n - w]
+                p[1, w, yc, ls] = t[:, 0] + t[:, n - w]
                 if n - 1 - w >= 1:
-                    p[0, yc, w, ls] = np.cumsum(t[:, 1 : n - w], axis=1)[:, -1]
-        return p
+                    p[0, w, yc, ls] = np.cumsum(t[:, 1 : n - w], axis=1)[:, -1]
+        return p.reshape(2 * (n + 1), -1)
 
     @staticmethod
     def _nonempty_counts(yx: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
@@ -212,7 +206,7 @@ class GridCells:
         per x-width the empty cells of length l are the cuts whose free run
         is at least l, a histogram of free runs summed from the top.
         """
-        z = np.zeros((2, 2, n + 1, n + 1))
+        z = np.zeros((2, n + 1, 2, n + 1))
         ls = np.arange(1, n + 1)
         # y-spans of each class and length l = 1..N.
         y_spans = np.array([np.maximum(n - 1 - ls, 0), np.where(ls < n, 2, 1)])
@@ -235,14 +229,14 @@ class GridCells:
             for yc, run in enumerate(runs):
                 hist = np.bincount(run.ravel(), minlength=2 * (n + 1)).reshape(2, n + 1)
                 empty = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1]
-                z[:, yc, w, 1:] = x_spans * y_spans[yc] - empty[:, 1:]
-        return z
+                z[:, w, yc, 1:] = x_spans * y_spans[yc] - empty[:, 1:]
+        return z.reshape(2 * (n + 1), -1)
 
     @staticmethod
     def _square_sweep(a: np.ndarray, n: int) -> np.ndarray:
         """sum(o^2) per bucket from per-width Gram matrices (exact integers)."""
         af = a[:, 1:].astype(float)
-        p = np.zeros((2, 2, n + 1, n + 1))
+        p = np.zeros((2, n + 1, 2, n + 1))
         flat, starts = _lag_sorted_pairs(n)
         step = max(1, _GRAM_BLOCK_BYTES // (16 * n * n))
         lens = np.arange(1, n)  # y-lengths of the edge spans (N-l, N]
@@ -262,20 +256,20 @@ class GridCells:
             last = gram[..., n - 1]
             sup = np.add.reduceat(gram.reshape(2, len(widths), n * n)[..., flat], starts, axis=-1)
             cg = np.cumsum(g, axis=-1)
-            block = p[:, :, w0 : w0 + len(widths)]
+            block = p[:, w0 : w0 + len(widths)]
             # Internal y-spans (c, c+l], 1 <= c <= N-1-l: the l-th superdiagonal
             # sum includes the edge pair (N-l, N], taken back out.
-            block[:, 0, :, 1 : n - 1] = (
+            block[:, :, 0, 1 : n - 1] = (
                 cg[..., n - 2 - li]
                 + (cg[..., n - 2 : n - 1] - cg[..., li - 1])
                 - 2.0 * (sup[..., li - 1] - last[..., n - 1 - li])
             )
             # Edge y-spans: (0, l] for l = 1..N, and (N-l, N] for l = 1..N-1.
-            block[:, 1, :, 1:] = g
-            block[:, 1, :, 1:n] += (
+            block[:, :, 1, 1:] = g
+            block[:, :, 1, 1:n] += (
                 g[..., n - 1 : n] + g[..., n - 1 - lens] - 2.0 * last[..., n - 1 - lens]
             )
-        return p
+        return p.reshape(2 * (n + 1), -1)
 
     @staticmethod
     def _pearson_totals(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
@@ -286,19 +280,16 @@ class GridCells:
         q *= 2.0
         p -= q
         p += expected
-        p[:, :, ~sized] = 0.0
+        p[~sized] = 0.0
         return p
 
-    def _contract(self, tables: np.ndarray, ms) -> np.ndarray:
-        n = self.n
-        rows = _span_weight_rows(n, max(ms))
-        out = np.empty(len(ms))
-        for idx, m in enumerate(ms):
-            fx = (rows[m - 2, : n + 1], rows[m - 2, n + 1 :])
-            out[idx] = math.fsum(
-                float(fx[xc] @ tables[xc][yc] @ fx[yc]) for xc in (0, 1) for yc in (0, 1)
-            )
-        return out
+    def _contract(self, totals: np.ndarray, ms) -> np.ndarray:
+        rows = _span_weight_rows(self.n, max(ms))[np.subtract(ms, 2)]
+        # Per m, the y weights folded into each x bucket by a pairwise row
+        # sum, whose order numpy fixes; then one correctly rounded sum over x.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fold = np.array([(totals * r).sum(axis=1) for r in rows])
+        return _per_m_sums(rows, fold, ms, self.n)
 
     def contract(self, ms) -> np.ndarray:
         """Sum statistic S_m for each m in ``ms``: the score summed over partitions."""
@@ -341,42 +332,29 @@ class PointCells:
     def __init__(self, yx, score: ScoreKind, nonempty: bool = False):
         self.n = yx.size
         self.score = score
-        self._u, self._v, self._w, self._z = _point_cell_tables(yx, score, nonempty)
+        *uvw, self._z = _point_cell_tables(yx, score, nonempty)
+        self._uvw = np.stack([t for t in uvw if t is not None])[:, None]
 
-    def _bucket_weights(self, m: int) -> np.ndarray:
-        """C(out, m-1-k) over the flat (k, out) buckets."""
-        n = self.n
-        binom = binomial_table(n)
-        outs = np.arange(n + 1)
-        rows = [np.zeros(n + 1)]
-        for k in range(1, 5):
-            rows.append(binom.choose(outs, m - 1 - k))
-        return np.concatenate(rows)
+    def _contract(self, totals: np.ndarray, ms) -> np.ndarray:
+        rows = _point_weight_rows(self.n, max(ms))[np.subtract(ms, 2)]
+        return _per_m_sums(rows, totals, ms, self.n)
 
     def contract(self, ms) -> np.ndarray:
         """Sum statistic S_m for each m in ``ms``: the score summed over partitions."""
         ms = list(ms)
-        out = np.empty(len(ms))
-        for idx, m in enumerate(ms):
-            weights = self._bucket_weights(m)
-            div = self.n - m + 1
-            if self.score is ScoreKind.LIKELIHOOD_RATIO:
-                # o*log(o/e) with e = area/div splits into the bucketed numerator
-                # plus o*log(div), so the m-dependence is a single scalar.
-                out[idx] = float(weights @ self._u) + math.log(div) * float(weights @ self._v)
-            else:
-                out[idx] = (
-                    div * float(weights @ self._u)
-                    - 2.0 * float(weights @ self._v)
-                    + float(weights @ self._w) / div
-                )
-        return out
+        u, v, *w = self._contract(self._uvw, ms)
+        div = self.n + 1 - np.array(ms)
+        if self.score is ScoreKind.LIKELIHOOD_RATIO:
+            # o*log(o/e) with e = area/div splits into the bucketed numerator
+            # plus o*log(div), so the m-dependence is a single scalar.
+            return u + _log_table(self.n)[div] * v
+        return div * u - 2.0 * v + w[0] / div
 
     def contract_nonempty(self, ms) -> np.ndarray:
         """Non-empty cells summed over all size-m partitions, for each m in ``ms``."""
         if self._z is None:
             raise ValueError("cells were swept without nonempty-cell counts")
-        return np.array([float(self._bucket_weights(m) @ self._z) for m in ms])
+        return self._contract(self._z, list(ms))
 
 
 # Cells scored at once by one chunk of consecutive extents of the

@@ -23,10 +23,10 @@ from .core import (
     ScoreKind,
     _cell_index_cache,
     _check_m_max,
-    _correctly_rounded_sums,
     _freeze,
     _log_table,
     _packed_cell_cache,
+    _per_m_sums,
     _span_weight_rows,
     _xlogx_table,
     partition_count,
@@ -193,18 +193,7 @@ def _sum_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:
     n = labels_by_rank.size
     t = _cell_scores(labels_by_rank, group_sizes, score)
     profile = np.bincount(_cell_index_cache(n)[2], weights=t, minlength=2 * (n + 1))
-    # Weights reach C(N-1, m-1) while cell totals stay moderate; a correctly
-    # rounded sum per m keeps the values independent of summation order.  Past
-    # double range a product is inf or nan, and so is its sum.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _correctly_rounded_sums(_span_weight_rows(n, m_max) * profile)
-    overflow = ~np.isfinite(values)
-    if overflow.any():
-        m = int(np.argmax(overflow)) + 2
-        raise ValueError(
-            f"sum statistic overflows double precision from m={m} at N={n}; use m_max <= {m - 1}"
-        )
-    return values
+    return _per_m_sums(_span_weight_rows(n, m_max), profile, range(2, m_max + 1), n)
 
 
 def _max_values(labels_by_rank, group_sizes, score, m_max) -> np.ndarray:

@@ -67,24 +67,25 @@ def reference_grid_lr_sweep(a: np.ndarray, n: int, nonempty: bool):
 
     Each x-span scores its y-spans with one bincount over y class * (N+1) +
     length, in lexicographic y-span order, and x-spans are added in loop
-    order. ``GridCells`` must reproduce these tables byte for byte.
+    order into row x class * (N+1) + width. ``GridCells`` must reproduce
+    these tables byte for byte.
     """
     lut = _xlogx_table(n)
     cc, dd = np.triu_indices(n + 1, k=1)
     keys = np.where((cc == 0) | (dd == n), n + 1, 0) + (dd - cc)
     nk = 2 * (n + 1)
-    p = np.zeros((2, n + 1, nk))
-    z = np.zeros((2, 2, n + 1, n + 1)) if nonempty else None
+    p = np.zeros((nk, nk))
+    z = np.zeros((nk, nk)) if nonempty else None
     for lo in range(n):
         row_lo = a[lo]
         for hi in range(lo + 1, n + (lo > 0)):
-            xc = 0 if (lo >= 1 and hi <= n - 1) else 1
+            xkey = (0 if (lo >= 1 and hi <= n - 1) else n + 1) + hi - lo
             diff = a[hi] - row_lo
             o = diff[dd] - diff[cc]
-            p[xc, hi - lo] += np.bincount(keys, weights=lut[o], minlength=nk)
+            p[xkey] += np.bincount(keys, weights=lut[o], minlength=nk)
             if nonempty:
-                z[xc, :, hi - lo] += np.bincount(keys[o > 0], minlength=nk).reshape(2, n + 1)
-    return p.reshape(2, n + 1, 2, n + 1).transpose(0, 2, 1, 3), z
+                z[xkey] += np.bincount(keys[o > 0], minlength=nk)
+    return p, z
 
 
 def reference_point_cell_tables(yx: np.ndarray, score: ScoreKind, with_nonempty: bool):

@@ -15,7 +15,14 @@ from partitest import (
     ksample_cell_score,
     rank_with_random_ties,
 )
-from partitest.core import _correctly_rounded_sums, chunk_map, y_by_x
+from partitest.core import (
+    _correctly_rounded_sums,
+    _log_table,
+    _per_m_sums,
+    _xlogx_table,
+    chunk_map,
+    y_by_x,
+)
 
 from helpers import reference_rank_with_random_ties
 
@@ -424,6 +431,55 @@ class TestCorrectlyRoundedSums:
     def test_overflow_is_nan(self):
         got = _correctly_rounded_sums(np.array([[1e308, 1e308], [np.inf, -np.inf], [1.0, 2.0]]))
         assert np.isnan(got[:2]).all() and got[2] == 3.0
+
+
+def per_m_case():
+    """Weight rows for m = 2..5 and three stacked sets of bucket totals, per m."""
+    rng = np.random.default_rng(21)
+    rows = np.ldexp(rng.integers(0, 10**6, size=(4, 30)), rng.integers(-20, 20, size=(4, 30)))
+    totals = rng.standard_normal((3, 4, 30)) * 10.0 ** rng.uniform(-3, 3, size=(3, 4, 30))
+    return rows.astype(float), totals
+
+
+class TestPerMSums:
+    def test_one_dimensional_totals_give_fsum_of_products(self):
+        rows, totals = per_m_case()
+        t = totals[0, 0]
+        got = _per_m_sums(rows, t, range(2, 6), 30)
+        want = [math.fsum(w * x for w, x in zip(r, t.tolist())) for r in rows.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("shape", ["per-m", "stacked"])
+    def test_same_bits_for_every_memory_layout(self, shape):
+        rows, totals = per_m_case()
+        if shape == "per-m":
+            totals = totals[0]
+        transposed_copy = np.ascontiguousarray(totals.T).T
+        layouts = [totals, np.asfortranarray(totals), transposed_copy]
+        assert not transposed_copy.flags.c_contiguous
+        got = [_per_m_sums(rows, t, range(2, 6), 30).tobytes() for t in layouts]
+        assert got == [got[0]] * 3
+        want = [
+            [math.fsum(w * x for w, x in zip(r, t)) for r, t in zip(rows.tolist(), per_m)]
+            for per_m in totals.reshape(-1, 4, 30).tolist()
+        ]
+        assert got[0] == np.array(want).reshape(totals.shape[:-1]).tobytes()
+
+    def test_overflow_names_the_first_m(self):
+        rows, totals = per_m_case()
+        rows[1:, 0] = np.inf  # a partition count past double range
+        with pytest.raises(ValueError, match="overflows double precision from m=3 at N=30"):
+            _per_m_sums(rows, totals, range(2, 6), 30)
+
+
+class TestLogTables:
+    def test_tables_are_math_log_bit_for_bit(self):
+        # numpy's AVX-512 np.log misrounds 9170 and 19143 in this range
+        n = 20000
+        logs = np.array([0.0] + [math.log(i) for i in range(1, n + 1)])
+        xlogx = np.array([i * v for i, v in enumerate(logs.tolist())])
+        assert _log_table(n).tobytes() == logs.tobytes()
+        assert _xlogx_table(n).tobytes() == xlogx.tobytes()
 
 
 class PickleCounter:

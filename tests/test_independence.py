@@ -1,8 +1,10 @@
+import io
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -113,26 +115,6 @@ class TestGridSweepGolden:
         got = [v.hex() for v in adp_sum_all_m(x, y, score).values]
         assert got == golden_sweep()["adp_sum_all_m"][score][str(n)][layout]
 
-    def test_pearson_independent_of_blas_threads(self):
-        script = (
-            "import numpy as np, partitest as pt\n"
-            "y = np.random.default_rng(120).permutation(120) + 1\n"
-            "values = pt.adp_sum_all_m(np.arange(1, 121), y, 'pearson').values\n"
-            "print(' '.join(v.hex() for v in values))\n"
-        )
-        src = str(Path(adp_sum_all_m.__code__.co_filename).parents[1])
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                timeout=120, check=True,
-            )
-            outs.append(run.stdout)
-        assert len(outs[0].split()) == 9
-        assert outs[0] == outs[1]
-
 
 class TestPointAnchoredSum:
     def test_small_m2_matches_enumeration(self):
@@ -185,6 +167,51 @@ class TestPointSweepGolden:
         assert got == golden_sweep()["ddp_sum_all_m"][score][str(n)][layout]
 
 
+# The grid and point sums (both scores) and both MI estimators with the
+# Miller-Madow correction, as hex.
+SAME_BITS_SCRIPT = """
+import numpy as np, partitest as pt
+x, y = np.arange(1, 121), np.random.default_rng(120).permutation(120) + 1
+xs = pt.RankedSample(np.arange(1, 61), 60, 0)
+ys = pt.RankedSample(np.random.default_rng(60).permutation(60) + 1, 60, 0)
+values = [
+    *(v for score in ("lr", "pearson") for v in pt.adp_sum_all_m(x, y, score).values),
+    *(v for score in ("lr", "pearson") for v in pt.ddp_sum_all_m(xs, ys, score).values),
+    *(mi(xs, ys, m, True).value for mi in (pt.mi_adp, pt.mi_ddp) for m in (2, 5)),
+]
+print(" ".join(v.hex() for v in values))
+"""
+
+CPU_ENVIRONMENTS = {
+    "blas-threads-1": {"OPENBLAS_NUM_THREADS": "1"},
+    "blas-threads-2": {"OPENBLAS_NUM_THREADS": "2"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@lru_cache(maxsize=None)
+def same_bits_here():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(SAME_BITS_SCRIPT, {})
+    return out.getvalue()
+
+
+class TestSameBitsOnEveryCpu:
+    @pytest.mark.parametrize("name", list(CPU_ENVIRONMENTS))
+    def test_sums_and_mi_match_this_process(self, name):
+        src = str(Path(adp_sum_all_m.__code__.co_filename).parents[1])
+        env = dict(os.environ, **CPU_ENVIRONMENTS[name])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", SAME_BITS_SCRIPT], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        assert len(run.stdout.split()) == 2 * 9 + 2 * 6 + 4
+        assert run.stdout == same_bits_here()
+
+
 LAYOUTS = ["random", "identity", "reversed"]
 SWEEP_SIZES = [*range(2, 14), 30]
 GRID_TABLE_CASES = [
@@ -231,7 +258,7 @@ class TestSweepTables:
         _, yx = golden_layout(n, layout)
         a = _count_grid(yx).a
         p_ref, z_ref = reference_grid_lr_sweep(a, n, nonempty)
-        assert GridCells._lr_sweep(a, n).tobytes() == np.ascontiguousarray(p_ref).tobytes()
+        assert GridCells._lr_sweep(a, n).tobytes() == p_ref.tobytes()
         if nonempty:
             assert GridCells._nonempty_counts(yx, a, n).tobytes() == z_ref.tobytes()
 

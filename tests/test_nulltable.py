@@ -582,39 +582,32 @@ KSAMPLE_GOLDEN_TABLES = [
 INDEPENDENCE_GOLDEN_TABLES = [
     (
         golden_meta(problem="independence", family="adp_sum", n=6, m_max=3),
-        "c5b98e0701c4cc7ece27109d7ac363b2484c4ffbf09df291eec98411ecae58ed",
-        "e246ac4ca118afa7c9125ed3d39af756a1b20322ec1acfe2f83ece4edc36f175",
+        "010aa1b8347fa4e2340ef7c64971028f2b28e08a076ccd125ef4cd28f74c7185",
+        "768056e02977fd687a1932304b59c5aee739a00358d47649e9aa3ea0eba2de35",
     ),
     (
         golden_meta(problem="independence", family="ddp_sum", n=6, m_max=3, score="pearson"),
-        "3ab794e5f5adf4b264b38ff6b191c0fb80e11ce66803718f36dc9448a247b567",
-        "ddbb134f20d2dc474ab331c915798b2518696865405579ad2252813ac9301cb8",
+        "735526d4fbb5836520b10519051f776900df6c3a0789b2c84f6ef5ecbb953578",
+        "1ae380ab44ac6f70d4ef4bdb80f22d8266f7646ce085de142e5bd28a8bab3212",
     ),
     (
         golden_meta(problem="independence", family="adp_sum", n=9, m_max=3),
-        "6d82f1f29e503ef6a4e8a77aa77fd1a2c60f73ade973c062d329f84c4bb13388",
-        "801e7398d4410fc02fd869156c7304ffca748e1e79c255b7c2a48aaa6b5a25bf",
+        "e36a085c92e1a94c24c7f12f97e3f74973ccbc1f7b2f8c1a4cb8d98237b482cf",
+        "d54f86814ce3c8420d62064ed1ffa729519bc6c8db09f0f0d0054b483d6d290e",
     ),
     (
         golden_meta(problem="independence", family="ddp_sum", n=9, m_max=3),
-        "1f1ed327a981d07ccbe746402b1b1909afbb30c173187f43ca100be51a3ce00c",
-        "dc5f04a282e6cfe6b9e3593168120281ae2f9ec12dd2fb4b02863c2780e79bea",
+        "4ba3921944c63aa44d9cec0afed939431613aa4e1ff1faf8c3cb13b219e20ac6",
+        "7a2f0440725f104634fdb953abbaf72036ab68488690c1b93834c629d4d5c1c2",
     ),
 ]
 
-# Each case is marked with its problem, so `-m ksample` selects the K-sample
-# digests; the order keeps the parameter ids of the first seven cases.
+# The order keeps the parameter ids of the first seven cases.
 ALL_GOLDEN_TABLES = (
     KSAMPLE_GOLDEN_TABLES[:3] + INDEPENDENCE_GOLDEN_TABLES + KSAMPLE_GOLDEN_TABLES[3:]
 )
-GOLDEN_TABLES = [
-    pytest.param(meta, digest, marks=getattr(pytest.mark, meta.problem))
-    for meta, digest, _ in ALL_GOLDEN_TABLES
-]
-V2_GOLDEN_TABLES = [
-    pytest.param(meta, digest, marks=getattr(pytest.mark, meta.problem))
-    for meta, _, digest in ALL_GOLDEN_TABLES
-]
+GOLDEN_TABLES = [(meta, digest) for meta, digest, _ in ALL_GOLDEN_TABLES]
+V2_GOLDEN_TABLES = [(meta, digest) for meta, _, digest in ALL_GOLDEN_TABLES]
 
 
 @functools.cache
@@ -648,18 +641,17 @@ def run_cli_test(data_path, table_path):
     return code, out.getvalue(), err.getvalue()
 
 
-# v1 files written by save_table before v2 (their digests are the golden v1
-# digests), with the metas that generate them and data files that fit them.
+# v1 files in the text format of `helpers.render_v1` (their digests are the
+# golden v1 digests), with the metas that generate them and data files that
+# fit them.
 V1_FIXTURES = [
-    pytest.param(
+    (
         "v1-ksample-sum-n6.pnt", KSAMPLE_GOLDEN_TABLES[0],
         "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n1\t4.5\n2\t0.2\n",
-        marks=pytest.mark.ksample,
     ),
-    pytest.param(
+    (
         "v1-independence-ddp-n9.pnt", INDEPENDENCE_GOLDEN_TABLES[3],
         "".join(f"{x}\t{(3 * x) % 9}\n" for x in range(9)),
-        marks=pytest.mark.independence,
     ),
 ]
 
