@@ -301,7 +301,11 @@ def _scenario_from_args(args):
 def cmd_simulate(args) -> int:
     spec = _scenario_from_args(args)
     if args.emit:
-        left, right = generate_scenario(spec, args.replicate)
+        try:
+            left, right = generate_scenario(spec, args.replicate)
+        except MemoryError as exc:
+            error = DataError if args.params else CliError
+            raise error(f"n={spec.n} values do not fit in memory") from exc
         for a, b in zip(left, right):
             if spec.problem == "ksample":
                 print(f"{int(a)}\t{b:.17g}")

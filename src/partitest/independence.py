@@ -133,7 +133,8 @@ class GridCells:
       them, is an integer of magnitude at most 4 N^4 (G entries are at most
       N^3), below 2^53 for any N up to 6800.  So the floating-point products
       and sums are exact, and the result does not depend on the summation
-      order, BLAS blocking or the BLAS thread count.
+      order, BLAS blocking or the BLAS thread count.  A larger N is refused
+      before the count grid is built.
     - Likelihood ratio (o log o): these float sums keep the order of a plain
       per-cell loop, so the totals have its bits.  For each width w the
       sweep runs over the lower y cut c, vectorised over the y length and
@@ -149,8 +150,10 @@ class GridCells:
     """
 
     def __init__(self, yx, score: ScoreKind, nonempty: bool = False):
+        n = yx.size
+        if score is ScoreKind.PEARSON and n > 6800:
+            raise ValueError(f"Pearson grid sums are exact only for N <= 6800, got N={n}")
         grid = _count_grid(yx)
-        n = grid.n
         if nonempty and score is not ScoreKind.LIKELIHOOD_RATIO:
             raise ValueError("nonempty-cell counts come from the likelihood-ratio sweep")
         q = self._count_sums(yx, n)
@@ -326,10 +329,14 @@ class PointCells:
     null-table rows and ``mi_ddp`` all go through this class, as for
     :class:`GridCells` with a y-by-x arrangement ``yx``.  With
     ``nonempty`` the sweep also counts non-empty cells for the Miller-Madow
-    correction of ``mi_ddp``.
+    correction of ``mi_ddp``.  The sweep's packed cell keys
+    (:func:`_point_key_fields`) fit in int64 only for N < 2^19; a larger N
+    is refused before the count grid is built.
     """
 
     def __init__(self, yx, score: ScoreKind, nonempty: bool = False):
+        if yx.size >= 1 << 19:
+            raise ValueError(f"point-anchored cell keys fit only for N < 2^19, got N={yx.size}")
         self.n = yx.size
         self.score = score
         *uvw, self._z = _point_cell_tables(yx, score, nonempty)
@@ -372,7 +379,7 @@ def _point_key_fields(n: int) -> tuple[int, int, int]:
     and length + i*(N+1) < rows*(N+1), each field just wide enough for its
     largest value.  The row cap halves from N until the three fields fit in
     62 bits, so no key and no key difference overflows int64 (any N below
-    2^19).
+    2^19; :class:`PointCells` refuses a larger N).
     """
     count_bits = n.bit_length()
     rows = n
@@ -658,46 +665,37 @@ def _sum_all_m(family: str, x, y, score, m_max: int | None) -> PerMStatistics:
 # Max aggregation (small m only)
 
 
-def _partition_scores_from_cuts(grid: CumulativeCountGrid, xcuts, ycuts, score: ScoreKind, m: int):
-    """Partition scores T^I for a batch of point-anchored cut sets.
+def _cell_terms(o, width, length, n: int, div: int, score: ScoreKind):
+    """Scores of cells with counts ``o`` and sides ``width`` x ``length``, elementwise.
+
+    The expected count is width * length / div.  The likelihood-ratio term is
+    o log o - o (log width + log length - log div), read from the cached log
+    tables as in :class:`PointCells`; Pearson is (o - e)^2 / e.  A zero-area
+    cell scores 0.
+    """
+    if score is ScoreKind.LIKELIHOOD_RATIO:
+        lg = _log_table(n)
+        return _xlogx_table(n)[o] - o * (lg[width] + lg[length] - lg[div])
+    e = np.multiply(width, length, dtype=float) / div
+    d = (o - e) ** 2  # 0 in a zero-area cell, which holds no points
+    return np.divide(d, e, out=d, where=e > 0)
+
+
+def _partition_scores_from_cuts(a: np.ndarray, xcuts, ycuts, score: ScoreKind, m: int):
+    """Partition scores T^I, from count-grid array ``a``, for a batch of point-anchored cut sets.
 
     ``xcuts``/``ycuts`` are (B, m-1) arrays of sorted cut ranks; counts are
     taken strictly inside cells and expected counts divide by N - m + 1.
     """
-    a = grid.a
-    n = grid.n
-    b = xcuts.shape[0]
-    div = n - m + 1
-    lut = _xlogx_table(n)
-    xb = np.empty((b, m + 1), dtype=np.int64)
-    yb = np.empty((b, m + 1), dtype=np.int64)
-    xb[:, 0] = 0
-    yb[:, 0] = 0
-    xb[:, 1:m] = xcuts
-    yb[:, 1:m] = ycuts
-    xb[:, m] = n + 1
-    yb[:, m] = n + 1
-    total = np.zeros(b)
-    logdiv = math.log(div)
-    for i in range(m):
-        rl = xb[:, i]
-        rh = xb[:, i + 1]
-        width = rh - rl - 1
-        for j in range(m):
-            sl = yb[:, j]
-            sh = yb[:, j + 1]
-            area = width * (sh - sl - 1)
+    n = len(a) - 1
+    low = np.zeros(xcuts.shape[0], dtype=np.int64)
+    xb = np.column_stack((low, xcuts, low + n + 1))
+    yb = np.column_stack((low, ycuts, low + n + 1))
+    total = np.zeros(low.size)
+    for rl, rh in zip(xb.T[:-1], xb.T[1:]):
+        for sl, sh in zip(yb.T[:-1], yb.T[1:]):
             o = a[rh - 1, sh - 1] - a[rl, sh - 1] - a[rh - 1, sl] + a[rl, sl]
-            if score is ScoreKind.LIKELIHOOD_RATIO:
-                term = np.where(
-                    area > 0,
-                    lut[o] - o * (np.log(np.maximum(area, 1)) - logdiv),
-                    0.0,
-                )
-            else:
-                e = np.where(area > 0, area / div, 1.0)
-                term = np.where(area > 0, (o - e) ** 2 / e, 0.0)
-            total += term
+            total += _cell_terms(o, rh - rl - 1, sh - sl - 1, n, n - m + 1, score)
     return total
 
 
@@ -710,13 +708,13 @@ def ddp_max(x, y, score, m: int) -> float:
         raise ValueError("exponential regime: max aggregation supports m in {2, 3, 4}")
     if n < m:
         raise ValueError("need at least m observations")
-    grid = _count_grid(yx)
+    a = _count_grid(yx).a
     best = -math.inf
     # Each set of m-1 anchor points, by x position: its x cuts come sorted.
     combos = combinations(range(n), m - 1)
     while (block := np.asarray(list(islice(combos, 200_000)), dtype=np.int64)).size:
         ycuts = np.sort(yx[block], axis=1)
-        scores = _partition_scores_from_cuts(grid, block + 1, ycuts, score, m)
+        scores = _partition_scores_from_cuts(a, block + 1, ycuts, score, m)
         best = max(best, float(scores.max()))
     return best
 
@@ -725,24 +723,19 @@ def _grid_m2_partition_scores(grid: CumulativeCountGrid, score: ScoreKind) -> np
     """T^I for every 2x2 grid partition, indexed by cut position pair."""
     a = grid.a
     n = grid.n
-    lut = _xlogx_table(n)
-    wi = np.arange(1, n, dtype=float)
-    n11 = a[1:n, 1:n].astype(float)
-    rmarg = a[1:n, n].astype(float)[:, None]
-    cmarg = a[n, 1:n].astype(float)[None, :]
-    counts = (n11, rmarg - n11, cmarg - n11, n - rmarg - cmarg + n11)
-    ex = (
-        np.outer(wi, wi) / n,
-        np.outer(wi, n - wi) / n,
-        np.outer(n - wi, wi) / n,
-        np.outer(n - wi, n - wi) / n,
+    # Cut positions; x of the N points lie left of x cut x, and y below y cut y.
+    x = np.arange(1, n)[:, None]
+    y = np.arange(1, n)[None, :]
+    n11 = a[1:n, 1:n]
+    cells = (
+        (n11, x, y),
+        (x - n11, x, n - y),
+        (y - n11, n - x, y),
+        (n - x - y + n11, n - x, n - y),
     )
     total = np.zeros((n - 1, n - 1))
-    for o, e in zip(counts, ex):
-        if score is ScoreKind.PEARSON:
-            total += (o - e) ** 2 / e
-        else:
-            total += lut[o.astype(np.int64)] - o * np.log(e)
+    for o, width, length in cells:
+        total += _cell_terms(o, width, length, n, n, score)
     return total
 
 

@@ -61,6 +61,16 @@ class TestNulltableCommand:
         assert "#exact=1\n" in header
         assert "#B=6\n" in header
 
+    def test_pearson_grid_past_exact_limit_exits_1(self, tmp_path, capsys):
+        out_path = tmp_path / "t.pnt"
+        code, out, err = run_cli(
+            capsys, "nulltable", "--problem", "independence", "--n", "6801",
+            "--family", "adp-sum", "--score", "pearson", "--B", "100", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: Pearson grid sums are exact only for N <= 6800, got N=6801\n"
+        assert not out_path.exists()
+
     def test_rerun_is_byte_identical(self, exact_table, tmp_path, capsys):
         other = tmp_path / "again.pnt"
         code, _, _ = run_cli(
@@ -617,6 +627,21 @@ class TestScenarioSizes:
         assert code == 4
         assert out == ""
         assert err == "error: bad scenario file: group sizes must be positive\n"
+
+    # numpy refuses the 72.8 TiB request before it touches memory.
+    def test_huge_n_option_exits_1_with_one_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", "gauss-shift", "--n", "10000000000000", "--emit"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: n=10000000000000 values do not fit in memory\n"
+
+    def test_huge_n_in_file_exits_4_with_one_line(self, tmp_path, capsys):
+        params = tmp_path / "scn.txt"
+        params.write_text(SCENARIO_TEXT.replace("n=12", "n=10000000000000"))
+        code, out, err = run_cli(capsys, "simulate", "--params", str(params), "--emit")
+        assert (code, out) == (4, "")
+        assert err == "error: n=10000000000000 values do not fit in memory\n"
 
     def test_negative_n_option_is_usage_error(self, capsys):
         code, out, err = run_cli(

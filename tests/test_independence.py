@@ -30,11 +30,12 @@ from partitest import (
 from partitest import independence
 from partitest.independence import (
     GridCells,
+    _cell_terms,
     _grid_m2_partition_scores,
     _point_cell_tables,
     _point_key_fields,
 )
-from partitest.core import _count_grid, _pair_index_cache, cumulative_count_grid
+from partitest.core import _count_grid, _pair_index_cache, cell_score, cumulative_count_grid
 from partitest.oracle import oracle_adp, oracle_ddp, oracle_hhg
 
 from helpers import (
@@ -167,17 +168,27 @@ class TestPointSweepGolden:
         assert got == golden_sweep()["ddp_sum_all_m"][score][str(n)][layout]
 
 
-# The grid and point sums (both scores) and both MI estimators with the
-# Miller-Madow correction, as hex.
+# The grid and point sums (both scores), both MI estimators with the
+# Miller-Madow correction, and both max statistics, as hex.  The max
+# statistics run on an N=59 block layout (the first 14 x ranks hold y ranks
+# below 26) whose best 2x2 LR score, taken with numpy's log, changed its last
+# bits without AVX-512.
 SAME_BITS_SCRIPT = """
 import numpy as np, partitest as pt
 x, y = np.arange(1, 121), np.random.default_rng(120).permutation(120) + 1
 xs = pt.RankedSample(np.arange(1, 61), 60, 0)
 ys = pt.RankedSample(np.random.default_rng(60).permutation(60) + 1, 60, 0)
+rng = np.random.default_rng(59 * 1000 + 14 * 7 + 25)
+low = rng.permutation(np.arange(1, 26))
+xb, yb = np.arange(1, 60), np.empty(59, dtype=np.int64)
+yb[:14] = low[:14]
+yb[14:] = rng.permutation(np.concatenate((low[14:], np.arange(26, 60))))
 values = [
     *(v for score in ("lr", "pearson") for v in pt.adp_sum_all_m(x, y, score).values),
     *(v for score in ("lr", "pearson") for v in pt.ddp_sum_all_m(xs, ys, score).values),
     *(mi(xs, ys, m, True).value for mi in (pt.mi_adp, pt.mi_ddp) for m in (2, 5)),
+    *(pt.adp_max_2x2(xb, yb, score) for score in ("lr", "pearson")),
+    *(pt.ddp_max(xb, yb, score, m) for score in ("lr", "pearson") for m in (2, 3)),
 ]
 print(" ".join(v.hex() for v in values))
 """
@@ -208,7 +219,7 @@ class TestSameBitsOnEveryCpu:
             [sys.executable, "-c", SAME_BITS_SCRIPT], env=env, capture_output=True, text=True,
             timeout=300, check=True,
         )
-        assert len(run.stdout.split()) == 2 * 9 + 2 * 6 + 4
+        assert len(run.stdout.split()) == 2 * 9 + 2 * 6 + 4 + 2 + 4
         assert run.stdout == same_bits_here()
 
 
@@ -248,6 +259,21 @@ def assert_same_tables(got, ref):
         assert (table is None) == (want is None)
         if want is not None:
             assert table.tobytes() == want.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes ``fn()`` allocates above what was held before it ran."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 class TestSweepTables:
@@ -310,17 +336,7 @@ class TestSweepTables:
         # scoring; chunk scoring may add chunk buffers, up to 4 MB in all,
         # counting the per-N caches the sweep may fill.
         _, yx = golden_layout(150, "random")
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _point_cell_tables(yx, ScoreKind.LIKELIHOOD_RATIO, True)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: _point_cell_tables(yx, ScoreKind.LIKELIHOOD_RATIO, True))
         assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
     def test_point_sweep_keeps_one_pair_triangle(self):
@@ -408,6 +424,52 @@ class TestMaxStatistics:
         x, y = rank_pair([2, 1], [1, 2])
         expected = 4 * (1.0 - 0.5) ** 2 / 0.5
         assert adp_max_2x2(x, y, "pearson") == pytest.approx(expected, rel=1e-12)
+
+
+class TestSizeLimits:
+    """Each documented exactness limit is refused before the count grid is allocated."""
+
+    @staticmethod
+    def refuse(sum_all_m, n, score, match):
+        x = np.arange(1, n + 1)
+        y = x[::-1].copy()
+
+        def call():
+            with pytest.raises(ValueError, match=match):
+                sum_all_m(x, y, score)
+
+        return traced_peak(call)
+
+    def test_pearson_grid_sums_stop_at_6800(self):
+        # The count grid alone would be 370 MB, and the sweep O(N^4).
+        peak = self.refuse(adp_sum_all_m, 6801, "pearson", r"N <= 6800, got N=6801")
+        assert peak <= 2**20, f"peak {peak / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("score", ["lr", "pearson"])
+    def test_point_sums_stop_below_2_pow_19(self, score):
+        # The count grid alone would be 2 TiB; the checked inputs take 16 MB.
+        peak = self.refuse(ddp_sum_all_m, 2**19, score, r"N < 2\^19, got N=524288")
+        assert peak <= 32 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+class TestCellTerms:
+    """The max statistics' cell rule against ``core.cell_score``, every small cell."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_cell_score(self, n):
+        # Every count a width x length cell of N ranks can hold, zero areas included.
+        cells = [
+            (o, w, l) for w in range(n + 1) for l in range(n + 1) for o in range(min(w, l) + 1)
+        ]
+        o, w, l = (np.array(side) for side in zip(*cells))
+        for div in {n, *(n - m + 1 for m in range(2, n + 1))}:
+            pearson = [cell_score(c, a * b / div, "pearson") for c, a, b in cells]
+            assert _cell_terms(o, w, l, n, div, ScoreKind.PEARSON).tolist() == pearson
+            ref = np.array([cell_score(c, a * b / div, "lr") for c, a, b in cells])
+            err = np.abs(_cell_terms(o, w, l, n, div, ScoreKind.LIKELIHOOD_RATIO) - ref)
+            assert err.max() <= 1e-13
+            big = np.abs(ref) > 1e-6
+            assert (err[big] / np.abs(ref[big])).max() <= 1e-13
 
 
 class TestPenalizedGridSum:
