@@ -170,6 +170,8 @@ def cmd_nulltable(args) -> int:
         table = generate_null_table(meta, threads=args.threads)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    except MemoryError as exc:
+        raise CliError(f"a table row at N={n} does not fit in memory") from exc
     try:
         save_table(table, args.out)
     except OSError as exc:
@@ -245,16 +247,16 @@ def cmd_test(args) -> int:
 
 def cmd_mi(args) -> int:
     left, right = _read_tsv(args.data, "independence")
-    n = left.size
-    if not 2 <= args.m <= n:
-        raise DataError(f"m must lie in 2..N, got {args.m} for N={n}")
+    fn = {"adp": mi_adp, "ddp": mi_ddp, "hist": mi_histogram}[args.estimator]
     try:
         x = rank_with_random_ties(left, args.tie_seed)
         y = rank_with_random_ties(right, args.tie_seed + 1)
+        est = fn(x, y, args.m, miller_madow=args.miller_madow)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    fn = {"adp": mi_adp, "ddp": mi_ddp, "hist": mi_histogram}[args.estimator]
-    est = fn(x, y, args.m, miller_madow=args.miller_madow)
+    except MemoryError as exc:
+        error = f"the {args.estimator} estimate at N={left.size} does not fit in memory"
+        raise DataError(error) from exc
     record = {
         "estimator": est.estimator,
         "m": est.m,

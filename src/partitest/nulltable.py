@@ -16,14 +16,13 @@ against the combined null distribution.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import os
 import re
 import stat
 import tempfile
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -240,8 +239,7 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
 # then "#sha256=<hex>" and "#body=f8le", then the B x (m_max - 1) rows as
 # little-endian float64 in row-major order, and nothing after them.  The
 # digest is the SHA-256 of the file without its #sha256= line, so it covers
-# the header as well as the rows.  v1, which load_table still reads: the
-# same header lines, then tab-separated decimal rows.
+# the header as well as the rows.
 
 _V2_MAGIC = b"#PNT v2\n"
 _V2_DIGEST = b"#sha256="
@@ -291,14 +289,8 @@ def save_table(table: NullTable, path: str) -> None:
         raise
 
 
-def _store_field(line: str, fields: dict[str, str]) -> None:
-    """Store a ``#key=value`` header line (newline included) in ``fields``."""
-    key, _, value = line.rstrip("\n")[1:].partition("=")
-    fields[key] = value
-
-
 def _meta_from_fields(fields: dict[str, str]) -> NullTableMeta:
-    """The checked metadata of a header, v1 or v2."""
+    """The checked metadata of a header."""
     for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
         if key not in fields:
             raise ValueError(f"missing header key: {key}")
@@ -347,9 +339,10 @@ def _load_v2(fh) -> NullTable:
     for number, line in enumerate(lines, start=2):
         digest.update(line)
         try:
-            _store_field(line.decode("utf-8"), fields)
+            key, _, value = line[1:-1].decode("utf-8").partition("=")
         except UnicodeDecodeError:
             raise ValueError(f"header line {number} is not UTF-8 text") from None
+        fields[key] = value
     digest.update(_V2_BODY)
     # the rest of the file, sized by the file and not by the header: one
     # buffer for a regular file, as read() alone would join two
@@ -369,73 +362,13 @@ def _load_v2(fh) -> NullTable:
     return NullTable(meta=meta, data=data)
 
 
-def _data_lines(fh, fields: dict[str, str]):
-    """The statistic lines of an open v1 ``.pnt`` file, after its version line.
-
-    Each ``#key=value`` line, wherever it appears, is stored in ``fields``;
-    empty lines are skipped.
-    """
-    for line in fh:
-        if line.startswith("#"):
-            _store_field(line, fields)
-        elif line != "\n":
-            yield line
-
-
-_RAGGED_ROW = re.compile(
-    r"the number of columns changed from (\d+) to (\d+) at row (\d+);.*", re.S
-)
-_BAD_TOKEN = re.compile(
-    r"could not convert string (.*) to float64 at row (\d+), column (\d+)\.", re.S
-)
-
-
-def _row_error(message: str) -> str | None:
-    """A loadtxt error as one line naming the data row and column, both from 1.
-
-    Data rows are the statistic lines only.  numpy counts a ragged row from
-    1 and a bad token's row from 0, and appends a hint to the ragged one.
-    None for any other message.
-    """
-    if ragged := _RAGGED_ROW.fullmatch(message):
-        want, got, row = map(int, ragged.groups())
-        where = f"data row {row}, column {min(want, got) + 1}"  # first one missing or extra
-        return f"{got} columns where the rows above have {want}, at {where}"
-    if bad := _BAD_TOKEN.fullmatch(message):
-        token, row, column = bad.groups()
-        where = f"data row {int(row) + 1}, column {column}"
-        return f"could not convert string {token} to a number at {where}"
-    return None
-
-
-def _load_v1(fh) -> NullTable:
-    """A v1 file from its first line (text mode)."""
-    fields: dict[str, str] = {}
-    fh.readline()
-    lines = _data_lines(fh, fields)
-    first = next(lines, None)
-    if first is None:
-        # loadtxt would warn on an empty body; NullTable rejects the 1-D array
-        data = np.empty(0)
-    else:
-        # one streamed C parse, correctly rounded like float(); no line is
-        # a comment to it, so a '#' inside a row is a malformed token
-        try:
-            data = np.loadtxt(chain((first,), lines), delimiter="\t", comments=None, ndmin=2)
-        except ValueError as exc:
-            message = _row_error(str(exc))
-            if message is None:
-                raise
-            raise ValueError(message) from None
-    return NullTable(meta=_meta_from_fields(fields), data=_freeze(data))
-
-
 def load_table(path: str) -> NullTable:
-    """Read a ``.pnt`` file, v2 or v1.
+    """Read a v2 ``.pnt`` file.
 
-    A malformed header or row, a body whose length or digest does not match
-    its header, a non-finite row, or an exact table whose B is not the
-    enumeration count raises ValueError.
+    A malformed header, a body whose length or digest does not match its
+    header, a non-finite row, or an exact table whose B is not the
+    enumeration count raises ValueError.  So does a v1 file, with a message
+    that names its rebuild.
     """
     with open(path, "rb") as fh:
         head = fh.peek(len(_V2_MAGIC))
@@ -447,8 +380,10 @@ def load_table(path: str) -> NullTable:
         except ValueError as exc:
             raise ValueError("malformed version line") from exc
         if major == 1:
-            with io.TextIOWrapper(fh, encoding="utf-8") as text:
-                return _load_v1(text)
+            raise ValueError(
+                "a v1 table is no longer read; rebuild it with partitest nulltable "
+                "from the #key= lines of its header"
+            )
         if major != 2:
             raise ValueError(f"unsupported format major version {major}")
         if not head.startswith(_V2_MAGIC):

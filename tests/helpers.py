@@ -8,13 +8,11 @@ import numpy as np
 from partitest import (
     GroupedSample,
     NullTable,
-    NullTableMeta,
     RankedSample,
     ScoreKind,
     rank_with_random_ties,
 )
 from partitest.core import _cell_index_cache, _count_grid, _log_table, _xlogx_table
-from partitest.nulltable import EXACT_LIMIT, exact_enumeration_count
 
 
 def random_grouped_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -215,54 +213,6 @@ def render_v1(table: NullTable) -> bytes:
     ]
     rows = ("\t".join(f"{v:.17g}" for v in row) for row in table.data)
     return "".join(f"{line}\n" for line in chain(header, rows)).encode("utf-8")
-
-
-def reference_load_table(path: str) -> NullTable:
-    """Read a v1 ``.pnt`` file one ``float()`` per token.
-
-    ``load_table`` parses v1 rows in one streamed C pass and must give this
-    meta and these data bytes, or raise ValueError where this raises it.
-    """
-    fields: dict[str, str] = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if not magic.startswith("#PNT v"):
-            raise ValueError("not a null-table file")
-        try:
-            major = int(magic[len("#PNT v") :].split(".")[0])
-        except ValueError as exc:
-            raise ValueError("malformed version line") from exc
-        if major != 1:
-            raise ValueError(f"unsupported format major version {major}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                fields[key] = value
-            elif line:
-                rows.append(np.array([float(tok) for tok in line.split("\t")]))
-    for key in ("problem", "family", "score", "N", "m_max", "B", "seed"):
-        if key not in fields:
-            raise ValueError(f"missing header key: {key}")
-    groups = fields.get("groups", "")
-    meta = NullTableMeta(
-        problem=fields["problem"],
-        family=fields["family"],
-        score=ScoreKind.parse(fields["score"]),
-        n=int(fields["N"]),
-        group_sizes=tuple(int(g) for g in groups.split(",")) if groups else None,
-        m_max=int(fields["m_max"]),
-        b=int(fields["B"]),
-        seed=int(fields["seed"]),
-        exact=fields.get("exact", "0") == "1",
-    )
-    if meta.exact and (meta.n > EXACT_LIMIT or meta.b != exact_enumeration_count(meta)):
-        raise ValueError(f"exact table holds B={meta.b} rows, not the full enumeration")
-    data = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("non-finite statistic in table")
-    return NullTable(meta=meta, data=data)
 
 
 def reference_cell_scores(labels_by_rank, group_sizes, score: ScoreKind) -> np.ndarray:

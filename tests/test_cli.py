@@ -1,24 +1,43 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from partitest import load_table
 from partitest.cli import main
 
-from helpers import render_v1
+SRC = Path(__file__).resolve().parents[1] / "src"
+# The console script in a fresh interpreter whose address space is capped at
+# 1 GiB, below the 1.15 GB (N+1)^2 count grid of N = 12000.
+CAPPED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from partitest.cli import main; sys.exit(main())"
+)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped_cli(*argv):
+    """(exit code, stdout, stderr) of the console script under the 1 GiB cap."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture()
@@ -48,13 +67,6 @@ def exact_table(tmp_path, capsys):
     return path
 
 
-@pytest.fixture()
-def exact_table_v1(exact_table):
-    """The exact table rewritten as v1 text, for tests that edit its lines."""
-    exact_table.write_bytes(render_v1(load_table(str(exact_table))))
-    return exact_table
-
-
 class TestNulltableCommand:
     def test_exact_trigger_and_header(self, exact_table, capsys):
         header = exact_table.read_bytes().split(b"#body=f8le\n")[0].decode("utf-8")
@@ -69,6 +81,16 @@ class TestNulltableCommand:
         )
         assert (code, out) == (1, "")
         assert err == "error: Pearson grid sums are exact only for N <= 6800, got N=6801\n"
+        assert not out_path.exists()
+
+    def test_grid_past_memory_exits_1_with_one_line(self, tmp_path):
+        out_path = tmp_path / "t.pnt"
+        code, out, err = run_capped_cli(
+            "nulltable", "--problem", "independence", "--n", "12000", "--family", "adp-sum",
+            "--B", "100", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: a table row at N=12000 does not fit in memory\n"
         assert not out_path.exists()
 
     def test_rerun_is_byte_identical(self, exact_table, tmp_path, capsys):
@@ -184,10 +206,9 @@ class TestTestCommand:
         assert code == 4
         assert ":2" in err
 
-    def test_missing_header_key_exits_4(self, exact_table_v1, tmp_path, capsys):
-        exact_table = exact_table_v1
-        lines = exact_table.read_text().split("\n")
-        exact_table.write_text("\n".join(ln for ln in lines if not ln.startswith("#seed=")))
+    def test_missing_header_key_exits_4(self, exact_table, tmp_path, capsys):
+        # the header is checked before the digest, so an edited file needs no re-signing
+        exact_table.write_bytes(exact_table.read_bytes().replace(b"#seed=3\n", b""))
         data = tmp_path / "d.tsv"
         data.write_text("1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n")
         code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(exact_table))
@@ -195,32 +216,34 @@ class TestTestCommand:
         assert out == ""
         assert "missing header key: seed" in err and len(err.strip().split("\n")) == 1
 
-    def test_non_finite_table_exits_4(self, exact_table_v1, tmp_path, capsys):
-        exact_table = exact_table_v1
-        lines = exact_table.read_text().split("\n")
-        first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
-        lines[first] = "nan\tnan\tnan"
-        exact_table.write_text("\n".join(lines))
-        data = tmp_path / "d.tsv"
-        data.write_text("1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n")
-        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(exact_table))
-        assert code == 4
-        assert out == ""
-        assert "non-finite" in err
-
-    def test_truncated_exact_table_exits_4(self, exact_table_v1, tmp_path, capsys):
-        exact_table = exact_table_v1
-        lines = exact_table.read_text().split("\n")
-        assert "#B=6" in lines and "#exact=1" in lines
-        last = max(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
-        lines = [("#B=5" if ln == "#B=6" else ln) for i, ln in enumerate(lines) if i != last]
-        exact_table.write_text("\n".join(lines))
+    def test_truncated_exact_table_exits_4(self, exact_table, tmp_path, capsys):
+        raw = exact_table.read_bytes()
+        assert b"\n#B=6\n" in raw and b"\n#exact=1\n" in raw
+        exact_table.write_bytes(raw.replace(b"\n#B=6\n", b"\n#B=5\n")[:-24])
         data = tmp_path / "d.tsv"
         data.write_text("1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n")
         code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(exact_table))
         assert code == 4
         assert out == ""
         assert "exact table holds B=5 rows" in err and len(err.strip().split("\n")) == 1
+
+    @pytest.mark.parametrize(
+        "version_line",
+        [b"#PNT v1\n", b"#PNT v1.0\n", b"#PNT v1.12\n", b"#PNT v1\r\n", b"#PNT v1"],
+        ids=["v1", "v1.0", "v1.12", "crlf", "version-line-only"],
+    )
+    def test_v1_table_exits_4_naming_the_rebuild(self, exact_table, tmp_path, capsys, version_line):
+        raw = exact_table.read_bytes()
+        rest = raw.split(b"\n", 1)[1] if version_line.endswith(b"\n") else b""
+        exact_table.write_bytes(version_line + rest)
+        data = tmp_path / "d.tsv"
+        data.write_text("1\t0.1\n1\t0.4\n2\t0.2\n2\t0.9\n")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(exact_table))
+        assert (code, out) == (4, "")
+        assert err == (
+            f"error: bad table file {exact_table}: a v1 table is no longer read; rebuild it "
+            "with partitest nulltable from the #key= lines of its header\n"
+        )
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_observed_sum_exits_4(self, tmp_path, capsys):
@@ -393,6 +416,22 @@ class TestMiCommand:
         code, _, err = run_cli(capsys, "mi", "--data", str(data), "--m", "4")
         assert code == 4
         assert "2..N" in err
+
+    def test_estimator_error_exits_4_with_one_line(self, tmp_path, capsys):
+        # the point-anchored sweep refuses N >= 2^19 before it allocates
+        n = 1 << 19
+        data = tmp_path / "xy.tsv"
+        data.write_text("".join(f"{i}\t{(7 * i) % n}\n" for i in range(n)))
+        code, out, err = run_cli(capsys, "mi", "--data", str(data), "--estimator", "ddp", "--m", "2")
+        assert (code, out) == (4, "")
+        assert err == f"error: point-anchored cell keys fit only for N < 2^19, got N={n}\n"
+
+    def test_grid_past_memory_exits_4_with_one_line(self, tmp_path):
+        data = tmp_path / "xy.tsv"
+        data.write_text("".join(f"{i}\t{(7 * i) % 12000}\n" for i in range(12000)))
+        code, out, err = run_capped_cli("mi", "--data", str(data), "--estimator", "adp", "--m", "2")
+        assert (code, out) == (4, "")
+        assert err == "error: the adp estimate at N=12000 does not fit in memory\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_exits_4(self, tmp_path, capsys, bad):

@@ -5,7 +5,6 @@ import math
 import os
 import tempfile
 import threading
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from itertools import islice, permutations
@@ -52,7 +51,6 @@ from partitest.oracle import oracle_ddp
 from helpers import (
     golden_hhg_pair,
     golden_sweep,
-    reference_load_table,
     reference_pvalue_rows,
     render_v1,
 )
@@ -239,53 +237,10 @@ FUZZ_TABLES = [
     (ksample_meta(), "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n"),
     (indep_meta(m_max=2, b=100), "1\t4\n2\t3\n3\t1\n4\t2\n"),
 ]
-# header lines: the version line and nine #key=value lines
-FUZZ_HEADER_LINES = 10
-FUZZ_TOKENS = st.one_of(
-    st.sampled_from(
-        ["", " ", "x", "1e", "--1", "0x10", "1,5", ".", "nan", "-nan", "inf", "-Infinity",
-         "1e400", "-1e400", "1e-400", "-0", "-0.0", "+0", " 2.5 ", "4.9e-324", "#", "1#2"]
-    ),
-    st.floats().map(repr),
-    st.text(alphabet="0123456789.eE+-naifINFty #x\t", max_size=8),
-)
 FUZZ_LINES = st.one_of(
     st.sampled_from(["", " ", "\t", "  \t ", "\xa0", "#", "# note", "#x=1", "#seed=3"]),
     st.text(alphabet="0123456789.e-# \t=abBN", max_size=10),
 )
-FUZZ_EDITS = st.lists(
-    st.one_of(
-        st.tuples(st.just("token"), st.integers(0, 10**6), st.integers(0, 10), FUZZ_TOKENS),
-        st.tuples(st.just("drop"), st.integers(0, 10**6), st.integers(0, 10)),
-        st.tuples(st.just("append"), st.integers(0, 10**6), FUZZ_TOKENS),
-        st.tuples(st.just("insert"), st.integers(0, 10**6), FUZZ_LINES),
-        st.tuples(st.just("empty_body")),
-    ),
-    max_size=4,
-)
-
-
-def mutated_table_bytes(text: str, edits, newline: str, final_newline: bool) -> bytes:
-    """A saved table's text with row edits and inserted lines, re-joined by ``newline``."""
-    lines = text.split("\n")[:-1]
-    for edit in edits:
-        kind, body = edit[0], len(lines) - FUZZ_HEADER_LINES
-        if kind == "empty_body":
-            lines = lines[:FUZZ_HEADER_LINES]
-        elif kind == "insert":
-            pos = 1 + edit[1] % len(lines)
-            lines.insert(pos, edit[2])
-        elif body > 0:
-            i = FUZZ_HEADER_LINES + edit[1] % body
-            tokens = lines[i].split("\t")
-            if kind == "token":
-                tokens[edit[2] % len(tokens)] = edit[3]
-            elif kind == "drop":
-                del tokens[edit[2] % len(tokens)]
-            else:
-                tokens.append(edit[2])
-            lines[i] = "\t".join(tokens)
-    return (newline.join(lines) + (newline if final_newline else "")).encode("utf-8")
 
 
 def outcome(read, path):
@@ -341,54 +296,27 @@ class TestPersistence:
         with pytest.raises(ValueError, match="unsupported format major version 3$"):
             load_table(str(bad))
 
-    @pytest.mark.parametrize("key", ["problem", "family", "score", "N", "m_max", "B", "seed"])
-    def test_missing_header_key_rejected(self, tmp_path, key):
-        table = generate_null_table(ksample_meta())
-        path = tmp_path / "t.pnt"
-        path.write_bytes(render_v1(table))
-        lines = path.read_text().split("\n")
-        path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"#{key}=")))
-        with pytest.raises(ValueError, match=f"missing header key: {key}$"):
-            load_table(str(path))
-
-    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
-    def test_non_finite_row_rejected(self, tmp_path, token):
-        table = generate_null_table(ksample_meta())
-        path = tmp_path / "t.pnt"
-        path.write_bytes(render_v1(table))
-        lines = path.read_text().split("\n")
-        first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
-        lines[first] = "\t".join([token] * (table.meta.m_max - 1))
-        path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match="non-finite"):
-            load_table(str(path))
-
-    def test_truncated_exact_table_rejected(self, tmp_path):
-        table = generate_null_table(ksample_meta(n=6, group_sizes=(3, 3)))
-        assert table.meta.exact and table.meta.b == 20
-        path = tmp_path / "t.pnt"
-        path.write_bytes(render_v1(table))
-        lines = path.read_text().split("\n")
-        first = next(i for i, ln in enumerate(lines) if ln and not ln.startswith("#"))
-        lines = [("#B=15" if ln == "#B=20" else ln) for ln in lines[: first + 15]]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="exact table holds B=15 rows, not the full"):
-            load_table(str(path))
-
     @pytest.mark.parametrize("version", [1, 2])
     def test_reads_from_a_pipe(self, tmp_path, version):
-        # a pipe has no size to check the body against, so it is read to its end
+        # a pipe has no size to check the body against, so it is read to its end;
+        # a v1 file is refused from its version line, and its 1.2 kB is one
+        # atomic pipe write, so the writer never sees the pipe close
         table = generate_null_table(ksample_meta(n=20, group_sizes=(10, 10), b=100))
         path, fifo = tmp_path / "t.pnt", tmp_path / "fifo"
         save_table(table, str(path))
-        raw = render_v1(table) if version == 1 else path.read_bytes()
+        raw = V1_FILE.read_bytes() if version == 1 else path.read_bytes()
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
         writer.start()
-        loaded = load_table(str(fifo))
+        if version == 1:
+            with pytest.raises(ValueError, match=f"^{V1_REFUSAL}$"):
+                load_table(str(fifo))
+        else:
+            loaded = load_table(str(fifo))
         writer.join(timeout=30)
         assert not writer.is_alive()
-        assert loaded.meta == table.meta and loaded.data.tobytes() == table.data.tobytes()
+        if version == 2:
+            assert loaded.meta == table.meta and loaded.data.tobytes() == table.data.tobytes()
 
     def test_no_partial_file_on_failure(self, tmp_path):
         table = generate_null_table(ksample_meta())
@@ -396,134 +324,6 @@ class TestPersistence:
         with pytest.raises(OSError):
             save_table(table, str(target))
         assert not target.exists()
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        case=st.sampled_from(range(len(FUZZ_TABLES))),
-        edits=FUZZ_EDITS,
-        newline=st.sampled_from(["\n", "\r\n", "\r"]),
-        final_newline=st.booleans(),
-    )
-    @example(case=0, edits=[], newline="\r\n", final_newline=True)
-    @example(case=0, edits=[("empty_body",)], newline="\n", final_newline=True)
-    @example(case=1, edits=[("empty_body",), ("insert", 12, "")], newline="\n", final_newline=True)
-    @example(case=0, edits=[("drop", 3, 0)], newline="\n", final_newline=True)
-    @example(case=0, edits=[("insert", 11, "")], newline="\n", final_newline=False)
-    @example(case=0, edits=[("insert", 11, "  \t ")], newline="\n", final_newline=True)
-    @example(case=1, edits=[("insert", 13, " ")], newline="\n", final_newline=True)
-    @example(case=0, edits=[("insert", 12, "# note")], newline="\n", final_newline=True)
-    @example(case=0, edits=[("token", 2, 1, "1e400")], newline="\n", final_newline=True)
-    @example(case=1, edits=[("token", 2, 0, "nan")], newline="\n", final_newline=True)
-    @example(case=1, edits=[("token", 2, 0, "-inf")], newline="\n", final_newline=True)
-    @example(case=0, edits=[("token", 0, 2, "-0")], newline="\n", final_newline=True)
-    @example(case=0, edits=[("token", 1, 0, "x")], newline="\n", final_newline=True)
-    @example(case=0, edits=[("token", 1, 2, "1#2")], newline="\n", final_newline=True)
-    @example(case=1, edits=[("token", 1, 0, "1#")], newline="\n", final_newline=True)
-    def test_reader_matches_float_reference_on_mutated_files(
-        self, case, edits, newline, final_newline
-    ):
-        meta, data_text = FUZZ_TABLES[case]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "t.pnt")
-            text = render_v1(generate_null_table(meta)).decode("utf-8")
-            with open(path, "wb") as fh:
-                fh.write(mutated_table_bytes(text, edits, newline, final_newline))
-            expected = outcome(reference_load_table, path)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = outcome(load_table, path)
-            assert caught == []
-            if isinstance(expected, Exception):
-                assert isinstance(expected, ValueError), repr(expected)
-                assert isinstance(got, ValueError), repr(got)
-            else:
-                assert got == expected
-            data_path = os.path.join(tmp, "d.tsv")
-            with open(data_path, "w", encoding="utf-8") as fh:
-                fh.write(data_text)
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = cli_main(["test", "--data", data_path, "--table", path])
-        if isinstance(got, Exception):
-            assert code == 4
-            assert err.getvalue().startswith("error: bad table file")
-            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
-        else:
-            assert code == 0, err.getvalue()
-
-    @pytest.mark.parametrize(
-        "token,value",
-        # float() reads underscores between digits and any Unicode decimal digit;
-        # the C parser reads ASCII digits only
-        [("1_0", 10.0), ("2_5e-1", 2.5), ("\u0661", 1.0), ("\uff12", 2.0)],
-    )
-    def test_tokens_float_accepts_and_the_reader_rejects(self, tmp_path, token, value):
-        path = tmp_path / "t.pnt"
-        path.write_bytes(render_v1(generate_null_table(ksample_meta())))
-        lines = path.read_text(encoding="utf-8").split("\n")
-        lines[FUZZ_HEADER_LINES] = "\t".join([token] + lines[FUZZ_HEADER_LINES].split("\t")[1:])
-        path.write_text("\n".join(lines), encoding="utf-8")
-        assert reference_load_table(str(path)).data[0, 0] == value
-        with pytest.raises(ValueError, match="could not convert string"):
-            load_table(str(path))
-
-    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
-    def test_separator_controls_are_whitespace_around_a_token(self, tmp_path, char):
-        # str.isspace() holds for U+001C..U+001F, which the C parser strips
-        # around a token as it strips spaces; float() rejects them
-        table = generate_null_table(ksample_meta())
-        path = tmp_path / "t.pnt"
-        path.write_bytes(render_v1(table))
-        lines = path.read_text(encoding="utf-8").split("\n")
-        lines[FUZZ_HEADER_LINES] = char + lines[FUZZ_HEADER_LINES].replace("\t", char + "\t")
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError, match="could not convert string to float"):
-            reference_load_table(str(path))
-        assert load_table(str(path)).data.tobytes() == table.data.tobytes()
-
-    def test_empty_body_raises_without_a_warning(self, tmp_path):
-        path = tmp_path / "t.pnt"
-        path.write_bytes(render_v1(generate_null_table(ksample_meta())))
-        header = path.read_text(encoding="utf-8").split("\n")[:FUZZ_HEADER_LINES]
-        path.write_text("\n".join(header) + "\n\n", encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="data shape"):
-                load_table(str(path))
-
-    @pytest.mark.parametrize(
-        "row,edit,message",
-        [
-            (1, lambda tokens: tokens[:-1],
-             "2 columns where the rows above have 3, at data row 2, column 3"),
-            (1, lambda tokens: tokens + ["0"],
-             "4 columns where the rows above have 3, at data row 2, column 4"),
-            (0, lambda tokens: [tokens[0], "x", tokens[2]],
-             "could not convert string 'x' to a number at data row 1, column 2"),
-            (2, lambda tokens: tokens[:2] + [""],
-             "could not convert string '' to a number at data row 3, column 3"),
-        ],
-    )
-    def test_parse_error_names_data_row_and_column(self, tmp_path, row, edit, message):
-        # rows and columns count from 1; blank and #key=value lines are not data rows
-        meta, data_text = FUZZ_TABLES[0]
-        path = tmp_path / "t.pnt"
-        path.write_bytes(render_v1(generate_null_table(meta)))
-        lines = path.read_text(encoding="utf-8").split("\n")
-        i = FUZZ_HEADER_LINES + row
-        lines[i] = "\t".join(edit(lines[i].split("\t")))
-        lines[FUZZ_HEADER_LINES:FUZZ_HEADER_LINES] = ["", "#note=1"]
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError) as info:
-            load_table(str(path))
-        assert str(info.value) == message
-        data_path = tmp_path / "d.tsv"
-        data_path.write_text(data_text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli_main(["test", "--data", str(data_path), "--table", str(path)])
-        assert code == 4
-        assert err.getvalue() == f"error: bad table file {path}: {message}\n"
 
 
 def golden_meta(**kw):
@@ -535,7 +335,8 @@ def golden_meta(**kw):
 # SHA-256 of each table as v1 text (``render_v1``, the bytes save_table wrote
 # before v2), recorded when the format and statistics were fixed, then of its
 # v2 file; any change to row scoring, row order, number formatting or the v2
-# layout shows here.  The last three are the shapes perfbench's ksample
+# layout shows here.  So a K-sample v1 file rebuilt from its header has the
+# bits it held.  The last three are the shapes perfbench's ksample
 # workloads build.
 KSAMPLE_GOLDEN_TABLES = [
     (
@@ -641,40 +442,75 @@ def run_cli_test(data_path, table_path):
     return code, out.getvalue(), err.getvalue()
 
 
-# v1 files in the text format of `helpers.render_v1` (their digests are the
-# golden v1 digests), with the metas that generate them and data files that
-# fit them.
-V1_FIXTURES = [
-    (
-        "v1-ksample-sum-n6.pnt", KSAMPLE_GOLDEN_TABLES[0],
-        "1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n1\t4.5\n2\t0.2\n",
-    ),
-    (
-        "v1-independence-ddp-n9.pnt", INDEPENDENCE_GOLDEN_TABLES[3],
-        "".join(f"{x}\t{(3 * x) % 9}\n" for x in range(9)),
-    ),
+# A v1 file, `helpers.render_v1` of the first golden K-sample table, and the
+# `partitest nulltable` flags the README maps from its #key= lines: an exact
+# table takes any --B of at least 100.
+V1_FILE = DATA_DIR / "v1-ksample-sum-n6.pnt"
+V1_REBUILD = [
+    "--problem", "ksample", "--family", "sum", "--score", "lr", "--groups", "3,3",
+    "--m-max", "4", "--B", "100", "--seed", "11",
 ]
 
 
-class TestV1Fixtures:
-    @pytest.mark.parametrize("name,golden,data", V1_FIXTURES)
-    def test_loads_to_the_generated_table(self, name, golden, data):
-        meta, digest, _ = golden
-        path = DATA_DIR / name
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        loaded, table = load_table(str(path)), generate_null_table(meta)
-        assert loaded.meta == table.meta
-        assert loaded.data.tobytes() == table.data.tobytes()
+V1_REFUSAL = (
+    "a v1 table is no longer read; rebuild it with partitest nulltable "
+    "from the #key= lines of its header"
+)
 
-    @pytest.mark.parametrize("name,golden,data", V1_FIXTURES)
-    def test_cli_line_unchanged_by_a_v2_resave(self, tmp_path, name, golden, data):
-        data_path, resaved = tmp_path / "d.tsv", tmp_path / "v2.pnt"
-        data_path.write_text(data, encoding="utf-8")
-        save_table(load_table(str(DATA_DIR / name)), str(resaved))
-        assert hashlib.sha256(resaved.read_bytes()).hexdigest() == golden[2]
-        old, new = (run_cli_test(data_path, path) for path in (DATA_DIR / name, resaved))
-        assert old[0] == 0 and old[1].count("\n") == 1
-        assert new == old
+
+def test_v1_file_is_refused_and_rebuilt_bit_for_bit(tmp_path):
+    with pytest.raises(ValueError, match=f"^{V1_REFUSAL}$"):
+        load_table(str(V1_FILE))
+    data_path = tmp_path / "d.tsv"
+    data_path.write_text("1\t0.5\n2\t1.5\n1\t2.5\n2\t3.5\n1\t4.5\n2\t0.2\n", encoding="utf-8")
+    assert run_cli_test(data_path, V1_FILE) == (
+        4, "", f"error: bad table file {V1_FILE}: {V1_REFUSAL}\n"
+    )
+    path = tmp_path / "rebuilt.pnt"
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli_main(["nulltable", *V1_REBUILD, "--out", str(path)]) == 0
+    assert render_v1(load_table(str(path))) == V1_FILE.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["", "nan\tnan\tnan\n", "1\t2\t3\n1\t2\n", "1\tx\t3\n", "\x1c1\x1c\t2\t3\n"],
+    ids=["empty", "non-finite", "ragged", "bad-token", "separator-controls"],
+)
+def test_v1_file_is_refused_whatever_its_body(tmp_path, body):
+    # the version line decides: no v1 row is parsed, so no row error can win
+    header = V1_FILE.read_bytes().split(b"\n")[:10]
+    path = tmp_path / "t.pnt"
+    path.write_bytes(b"\n".join(header) + b"\n" + body.encode("utf-8"))
+    with pytest.raises(ValueError, match=f"^{V1_REFUSAL}$"):
+        load_table(str(path))
+
+
+def readme_rebuild_flags(v1_text: bytes) -> list[str]:
+    """The ``partitest nulltable`` flags the README maps from a v1 header."""
+    fields = dict(
+        line[1:].split("=", 1) for line in v1_text.decode("utf-8").split("\n")[1:10]
+    )
+    flags = [
+        "--problem", fields["problem"], "--family", fields["family"].replace("_", "-"),
+        "--score", fields["score"], "--m-max", fields["m_max"], "--seed", fields["seed"],
+        "--B", "100" if fields["exact"] == "1" else fields["B"],
+    ]
+    if fields["problem"] == "ksample":
+        return flags + ["--groups", fields["groups"]]
+    return flags + ["--n", fields["N"]]
+
+
+@pytest.mark.parametrize("meta,v1_digest,v2_digest", ALL_GOLDEN_TABLES)
+def test_readme_flags_rebuild_every_golden_table(tmp_path, meta, v1_digest, v2_digest):
+    # the golden v1 digests are a K-sample v1 file's bits; an independence
+    # table rebuilds to today's bits, which these digests also hold
+    path = tmp_path / "rebuilt.pnt"
+    flags = readme_rebuild_flags(render_v1(golden_table(meta, 1)))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli_main(["nulltable", *flags, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == v2_digest
+    assert hashlib.sha256(render_v1(load_table(str(path)))).hexdigest() == v1_digest
 
 
 # A Monte Carlo table, so #B can change without failing the exact-count check.
@@ -721,7 +557,6 @@ class TestV2ReaderErrors:
              BODY_LENGTH.format(2400, 100, 2, 1600)),
             (lambda raw: raw.replace(b"#B=100\n", b"#B=0\n"),
              "B=0: a table holds at least one row"),
-            (lambda raw: raw.replace(b"#N=20\n", b""), "missing header key: N"),
             (lambda raw: raw.replace(b"#N=20\n", b"#N=2\xff\n"),
              "header line 5 is not UTF-8 text"),
             (lambda raw: raw.replace(b"#PNT v2\n", b"#PNT v2\r\n", 1),
@@ -730,7 +565,7 @@ class TestV2ReaderErrors:
         ids=[
             "truncated", "body-cut", "cut-in-body-line", "trailing-newline",
             "flipped-body-byte", "edited-header", "no-digest", "short-digest", "non-hex-digest", "no-body-line", "other-body-encoding",
-            "B-disagrees", "m_max-disagrees", "B-zero", "missing-key", "non-utf8-header",
+            "B-disagrees", "m_max-disagrees", "B-zero", "non-utf8-header",
             "crlf-version-line",
         ],
     )
@@ -738,6 +573,23 @@ class TestV2ReaderErrors:
         path = tmp_path / "t.pnt"
         save_table(generate_null_table(V2_ERROR_META), str(path))
         path.write_bytes(edit(path.read_bytes()))
+        self.assert_rejected(tmp_path, path, message)
+
+    @pytest.mark.parametrize("key", ["problem", "family", "score", "N", "m_max", "B", "seed"])
+    def test_missing_header_key(self, tmp_path, key):
+        # the meta is checked before the digest, so the file needs no re-signing
+        path = tmp_path / "t.pnt"
+        save_table(generate_null_table(V2_ERROR_META), str(path))
+        raw = path.read_bytes()
+        line = next(ln for ln in raw.split(b"\n") if ln.startswith(f"#{key}=".encode()))
+        path.write_bytes(raw.replace(line + b"\n", b"", 1))
+        self.assert_rejected(tmp_path, path, f"missing header key: {key}")
+
+    def test_exact_table_of_another_row_count(self, tmp_path):
+        path = tmp_path / "t.pnt"
+        save_table(generate_null_table(ksample_meta(n=6, group_sizes=(3, 3))), str(path))
+        path.write_bytes(path.read_bytes().replace(b"#B=20\n", b"#B=15\n"))
+        message = "exact table holds B=15 rows, not the full enumeration"
         self.assert_rejected(tmp_path, path, message)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -821,7 +673,7 @@ class TestV2ReaderFuzz:
     @example(case=0, edits=[("flip", 6, 1)])  # '#PNT v3'
     @example(case=0, edits=[("replace", 9, "#exact=0")])
     @example(case=1, edits=[("repeat", 10)])  # two #sha256= lines
-    @example(case=0, edits=[("repeat", 3)])  # a repeated key line, as v1 allows
+    @example(case=0, edits=[("repeat", 3)])  # a repeated key line
     @example(case=1, edits=[("insert", 11, "#x=1")])
     @example(case=0, edits=[("flip", 10**6, 0x80)])
     def test_original_table_or_value_error(self, case, edits):
