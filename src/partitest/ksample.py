@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# log Gamma entry by entry: CPython's own lgamma, so the priors need no scipy.
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Prior over partition size used by the penalized statistics.
@@ -88,14 +92,10 @@ class PriorSpec:
             return np.full(ms.shape, -math.log(self.k_levels))
         if self.variant == "ds":
             raise ValueError("ds prior has no standalone log pi(m); it is an additive penalty")
-        # scipy.special loads here, on first use, not with the package: it
-        # would more than double the start-up of every path without a prior.
-        from scipy.special import gammaln
-
         if self.variant == "poisson-sqrt-n":
             rate = math.sqrt(n)
-            return ms * math.log(rate) - rate - gammaln(ms + 1.0)
-        logc = gammaln(n) - gammaln(ms) - gammaln(n - ms + 1.0)  # binomial
+            return ms * math.log(rate) - rate - _lgamma(ms + 1.0)
+        logc = math.lgamma(n) - _lgamma(ms) - _lgamma(n - ms + 1.0)  # binomial
         return logc + ms * math.log(self.p) + (n - ms) * math.log1p(-self.p)
 
 
@@ -123,7 +123,10 @@ def _penalty_terms(family: str, n: int, n_ms: int, prior: PriorSpec):
         if prior.variant == "ds":
             add = -prior.lambda0 * math.log(n) * (ms - 1)
         else:
-            add = -np.log(partition_count(family, n, ms)) + prior.log_prior_m(ms, n)
+            # math.log, not np.log, as in core._log_table: the same bits on every CPU.
+            counts = partition_count(family, n, ms).tolist()
+            log_counts = np.fromiter(map(math.log, counts), float, len(counts))
+            add = -log_counts + prior.log_prior_m(ms, n)
         return None, _freeze(add)
     if prior.variant == "ds":
         raise ValueError("ds prior applies to max aggregation only")

@@ -220,6 +220,8 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
     arrangement of the enumeration.  Either way the rows are scored in
     ordered chunks (worker processes, at most one per core) and assembled in
     replicate order, so the result is bit-identical for any thread count.
+    The B x (m_max - 1) table is allocated before any row is scored; if it
+    cannot be, a ValueError names B, the column count and the bytes.
     """
     if meta.b < 100:
         raise ValueError("B must be at least 100")
@@ -228,8 +230,16 @@ def generate_null_table(meta: NullTableMeta, threads: int = 1) -> NullTable:
         meta = replace(meta, b=count, exact=True)
     else:
         meta = replace(meta, exact=False)
-    parts = chunk_map(_rows, (meta,), meta.b, threads)
-    return NullTable(meta=meta, data=_freeze(np.vstack(parts)))
+    columns = meta.m_max - 1
+    try:
+        data = np.empty((meta.b, columns))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest shape
+        raise ValueError(
+            f"a table of B={meta.b} rows x {columns} columns "
+            f"({meta.b * columns * 8} bytes) does not fit in memory"
+        ) from exc
+    np.concatenate(chunk_map(_rows, (meta,), meta.b, threads), out=data)
+    return NullTable(meta=meta, data=_freeze(data))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,20 @@ class TestNulltableCommand:
         assert err == "error: a table row at N=12000 does not fit in memory\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("b", [10**14, 10**27])
+    def test_table_past_memory_exits_1_naming_b(self, tmp_path, b):
+        # 10**14 rows fail to allocate; 10**27 is past numpy's largest shape.
+        out_path = tmp_path / "t.pnt"
+        code, out, err = run_capped_cli(
+            "nulltable", "--problem", "ksample", "--groups", "50,50", "--family", "sum",
+            "--m-max", "3", "--B", str(b), "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: a table of B={b} rows x 2 columns ({16 * b} bytes) does not fit in memory\n"
+        )
+        assert not out_path.exists()
+
     def test_rerun_is_byte_identical(self, exact_table, tmp_path, capsys):
         other = tmp_path / "again.pnt"
         code, _, _ = run_cli(

@@ -1,7 +1,8 @@
-"""What a fresh process imports: scipy loads only for the priors and the scenario draws.
+"""What a fresh process imports: no partitest path loads scipy.
 
 Each test starts a new interpreter, so modules the test session already
-holds do not hide an import.
+holds do not hide an import.  ``-X importtime`` is inherited by worker
+processes, so their imports are seen too.
 """
 
 import io
@@ -23,7 +24,7 @@ CONSOLE = "import sys; from partitest.cli import main; sys.exit(main())"
 
 
 def _python(*argv, code=CONSOLE):
-    """Run ``python -X importtime -c code *argv``; (stdout, scipy modules imported)."""
+    """Run ``python -X importtime -c code *argv``; (stdout, modules imported)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -37,7 +38,11 @@ def _python(*argv, code=CONSOLE):
     ]
     errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
     assert proc.returncode == 0, "\n".join(errors)
-    return proc.stdout, [name for name in imported if name.partition(".")[0] == "scipy"]
+    return proc.stdout, imported
+
+
+def _scipy(imported) -> list:
+    return [name for name in imported if name.partition(".")[0] == "scipy"]
 
 
 def _in_process(*argv) -> str:
@@ -49,29 +54,43 @@ def _in_process(*argv) -> str:
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A K-sample table and data file, and an independence data file."""
+    """K-sample sum and max tables and a data file, and an independence data file."""
     root = tmp_path_factory.mktemp("imports")
-    table = root / "t.pnt"
-    _in_process("nulltable", "--problem", "ksample", "--groups", "10,10", "--m-max", "4",
-                "--B", "200", "--seed", "5", "--out", str(table))
+    tables = {}
+    for family in ("sum", "max"):
+        tables[family] = str(root / f"{family}.pnt")
+        _in_process("nulltable", "--problem", "ksample", "--groups", "10,10", "--m-max", "4",
+                    "--family", family, "--B", "200", "--seed", "5", "--out", tables[family])
     ksample = root / "k.tsv"
     ksample.write_text("".join(f"{1 + i % 2}\t{(i * 7) % 20 + i % 2 / 2}\n" for i in range(20)))
     pairs = root / "xy.tsv"
     pairs.write_text("".join(f"{(i * 3) % 20}\t{(i * i) % 23}\n" for i in range(20)))
-    return {"table": str(table), "ksample": str(ksample), "pairs": str(pairs), "root": root}
+    return {"tables": tables, "ksample": str(ksample), "pairs": str(pairs), "root": root}
 
 
 def test_import_partitest_loads_no_scipy():
     code = "import sys, partitest; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out, scipy = _python(code=code)
-    assert out == "[]\n" and scipy == []
+    out, imported = _python(code=code)
+    assert out == "[]\n" and _scipy(imported) == []
 
 
-@pytest.mark.parametrize("combine", ["minp", "fisher"])
-def test_test_without_prior_loads_no_scipy(files, combine):
-    argv = ("test", "--data", files["ksample"], "--table", files["table"], "--combine", combine)
-    out, scipy = _python(*argv)
-    assert scipy == []
+@pytest.mark.parametrize(
+    "combine",
+    [
+        "minp",
+        "fisher",
+        "penalized --prior poisson",
+        "penalized --prior uniform:3",
+        "penalized --prior binomial:0.5",
+        "penalized --prior ds:1",
+    ],
+)
+def test_test_loads_no_scipy(files, combine):
+    family = "max" if combine.endswith("ds:1") else "sum"  # ds applies to max tables only
+    argv = ("test", "--data", files["ksample"], "--table", files["tables"][family],
+            "--format", "jsonl", "--combine", *combine.split())
+    out, imported = _python(*argv)
+    assert _scipy(imported) == []
     assert out == _in_process(*argv)
 
 
@@ -81,25 +100,16 @@ def test_test_without_prior_loads_no_scipy(files, combine):
 )
 def test_nulltable_loads_no_scipy(files, problem):
     out_path = files["root"] / f"{problem[0]}-fresh.pnt"
-    _, scipy = _python("nulltable", "--problem", *problem, "--B", "100", "--out", str(out_path))
-    assert scipy == []
+    _, imported = _python("nulltable", "--problem", *problem, "--B", "100", "--out", str(out_path))
+    assert _scipy(imported) == []
     assert out_path.stat().st_size > 0
 
 
 @pytest.mark.parametrize("estimator", ["adp", "ddp", "hist"])
 def test_mi_loads_no_scipy(files, estimator):
     argv = ("mi", "--data", files["pairs"], "--estimator", estimator, "--m", "3", "--miller-madow")
-    out, scipy = _python(*argv)
-    assert scipy == []
-    assert out == _in_process(*argv)
-
-
-@pytest.mark.parametrize("prior", ["poisson", "binomial:0.5"])
-def test_penalized_test_loads_scipy_on_demand(files, prior):
-    argv = ("test", "--data", files["ksample"], "--table", files["table"],
-            "--combine", "penalized", "--prior", prior, "--format", "jsonl")
-    out, scipy = _python(*argv)
-    assert "scipy.special" in scipy
+    out, imported = _python(*argv)
+    assert _scipy(imported) == []
     assert out == _in_process(*argv)
 
 
@@ -107,46 +117,36 @@ def test_penalized_test_loads_scipy_on_demand(files, prior):
     "argv",
     [
         ("--scenario", "gauss-shift", "--n", "20", "--groups", "10,10", "--R", "12", "--seed", "3"),
+        ("--scenario", "gauss-shift", "--n", "20", "--groups", "10,10", "--R", "12", "--seed", "3",
+         "--combine", "penalized", "--prior", "poisson"),
+        ("--scenario", "gauss-shift", "--n", "20", "--seed", "4", "--emit"),
         ("--scenario", "gauss-mixture-2d", "--n", "25", "--seed", "2", "--emit"),
     ],
+    ids=["power-minp", "power-penalized", "emit-gauss", "emit-mixture"],
 )
-def test_simulate_loads_scipy_on_demand(files, argv):
-    argv = ("simulate", *argv) + (() if "--emit" in argv else ("--table", files["table"]))
-    out, scipy = _python(*argv)
-    assert "scipy.special" in scipy
+def test_simulate_loads_no_scipy(files, argv):
+    argv = ("simulate", *argv) + (() if "--emit" in argv else ("--table", files["tables"]["sum"]))
+    out, imported = _python(*argv)
+    assert _scipy(imported) == []
     assert out == _in_process(*argv)
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="workers inherit the parent's modules only when forked",
+    reason="checked with forked workers, which inherit -X importtime and stderr",
 )
-def test_power_study_imports_scipy_once_in_the_parent(files):
-    # Every dataset draw records its process and whether scipy.special was
-    # already loaded there; forked workers must inherit it from the parent.
-    log = files["root"] / "draws.txt"
+def test_power_study_in_workers_loads_no_scipy(files):
+    # With two cores the parent draws no dataset, so a "statistics" import
+    # (the normal quantile's module) is a worker's: their imports are traced.
     code = textwrap.dedent(f"""
-        import os, sys
+        import sys
         import partitest as pt
-        from partitest import simulate
 
-        draw = simulate.generate_scenario
-
-        def logged(spec, index):
-            with open({str(log)!r}, "a") as fh:
-                fh.write(f"{{os.getpid()}} {{int('scipy.special' in sys.modules)}}\\n")
-            return draw(spec, index)
-
-        simulate.generate_scenario = logged
         spec = pt.make_scenario("gauss-shift", n=20, group_sizes=(10, 10), seed=1, replicates=16)
-        report = pt.power_study(spec, pt.load_table({files["table"]!r}), threads=2)
-        print(os.getpid(), report.rejections)
+        report = pt.power_study(spec, pt.load_table({files["tables"]["sum"]!r}), threads=2)
+        print(report.rejections, sorted(m for m in sys.modules if m.startswith("scipy")))
     """)
-    out, scipy = _python(code=code)
-    parent = out.split()[0]
-    draws = [line.split() for line in log.read_text().splitlines()]
-    assert len(draws) == 16
-    assert all(loaded == "1" for _, loaded in draws)
-    if (os.cpu_count() or 1) >= 2:
-        assert parent not in {pid for pid, _ in draws}  # the draws ran in workers
-    assert scipy.count("scipy.special") == 1
+    out, imported = _python(code=code)
+    assert out.split(maxsplit=1)[1] == "[]\n"
+    assert _scipy(imported) == []
+    assert "statistics" in imported

@@ -268,6 +268,13 @@ class TestPenalized:
         with pytest.raises(ValueError):
             penalized_sum(stats, PriorSpec.ds(1.0))
 
+    def test_max_penalty_logs_the_partition_count_with_math_log(self):
+        # log C(180, 62) is -log pi(I|m) at N=181 for m = 63 and m = 119.  numpy's
+        # AVX-512 log gives 0x1.c48b6d2d34524p+6 there and its other kernels
+        # and math.log give ...525p+6: math.log, not np.log, has one value on every CPU.
+        _, add = _penalty_terms("max", 181, 180, PriorSpec.uniform(1))
+        assert add[63 - 2].hex() == add[119 - 2].hex() == "-0x1.c48b6d2d34525p+6"
+
     @pytest.mark.parametrize("family", ["sum", "max", "adp_sum", "ddp_sum"])
     def test_cached_terms_give_the_direct_bits(self, family):
         # the cached penalty vectors are the expressions penalize would evaluate per call
@@ -281,7 +288,8 @@ class TestPenalized:
             if prior.variant == "ds":
                 direct = np.max(values + -prior.lambda0 * math.log(n) * (ms - 1), axis=-1)
             elif family == "max":
-                add = -np.log(partition_count(family, n, ms)) + prior.log_prior_m(ms, n)
+                log_counts = [math.log(c) for c in partition_count(family, n, ms)]
+                add = -np.array(log_counts) + prior.log_prior_m(ms, n)
                 direct = np.max(values + add, axis=-1)
             else:
                 direct = np.max(

@@ -14,7 +14,7 @@ from partitest import (
     power_study,
     run_test,
 )
-from partitest.simulate import _BUILTINS, builtin_scenarios, dataset_for_test
+from partitest.simulate import _BUILTINS, _normal_quantile, builtin_scenarios, dataset_for_test
 
 
 class TestScenarioGeneration:
@@ -51,6 +51,22 @@ class TestScenarioGeneration:
         # second component sits near (-0.125, 0.675) with sd 0.1
         frac_near = np.mean((x < 0.1) & (y > 0.45))
         assert abs(frac_near - 0.2) < 0.03
+
+    def test_normal_quantile_is_within_8_ulp_of_scipy_ndtri(self):
+        special = pytest.importorskip("scipy.special")
+        # uniforms of _uniform_stream's form, (k + 0.5) 2^-53, with 2000 at each
+        # tail; k = 2^53 - 1 is left out, as it rounds to 1.0
+        k = np.concatenate(
+            [
+                np.random.default_rng(29).integers(0, 2**53 - 1, size=400_000),
+                np.arange(2000),
+                2**53 - 2 - np.arange(2000),
+            ]
+        )
+        u = np.sort((k + 0.5) * 2.0**-53)
+        got, want = _normal_quantile(u), special.ndtri(u)
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+        assert np.all(np.diff(got) >= 0)
 
     def test_unknown_scenario_lists_builtins(self):
         with pytest.raises(ValueError, match="gauss-shift"):
@@ -183,18 +199,31 @@ class TestScenarioSchema:
 # every column as little-endian float64).  No BLAS call touches the data, so
 # they hold under each OpenBLAS kernel and numpy SIMD set of the CI matrix.
 BUILTIN_DIGESTS = {
-    "gauss-mixture-2d": "b5432380ab21545e9ee3bcb0059f90b5cf5a171ad6c5e5b732490bda844ad957",
-    "gauss-scale": "3dcd92b583018d6f3c18b8b0ab907b2d9a574f12657cacacf9eb134268fb9de4",
-    "gauss-shift": "c3695e255e15a7cf9625bb96899fc99a8d57edd2efef04de8fa89759d5a38ae3",
-    "gauss-shift-scale": "e3434e3125b5264d4e4a6b43957ff9abf1473c5ccf6d5edf3c0bc4291616de61",
-    "null-equal": "28066b88d7ff53423f3607bcf0b5b73a457ff0e8205fcfdaa8be28465d1b03cf",
+    "gauss-mixture-2d": "0180377cb44079a6fea05e1574bb126a6a596a56220ff1d13bc698ddf163465b",
+    "gauss-scale": "54927f9897b378182d71f8cefd3ad8f8edcab3dc7366c45821b4d9c59825da38",
+    "gauss-shift": "59857ac10dacfa2bfcf77106ba28e172bb89a152a85e6d7628635c686ddd8467",
+    "gauss-shift-scale": "0541204241456b9c93e84e63dd761315517bf4f1b9a501d8ba12d69f3a6b7302",
+    "null-equal": "6c36f7e586225a9979e5a096a908dfe13ade942dd64b8ede8ccbdba4fe6c7ea8",
     "null-uniform": "e20d812b2ddfa6e11b9fe2ff1248cdc5f48a403858b965016fd4fa395a3199a2",
+}
+
+# SHA-256 of each built-in's per-column ranks (seed 12; N=24, 100 and 300;
+# replicates 0-49; each column's stable argsort as little-endian int64).
+# Every statistic reads ranks only: the normal quantile may move the data
+# digests above in their last bits, but it must not move these.
+BUILTIN_RANK_DIGESTS = {
+    "gauss-mixture-2d": "f208beb6bcc9724eeda75b7f4afb51b1e62d3f16e0787d365baabd2e5a7e08dc",
+    "gauss-scale": "3d0faddffc8f80dde77641da481a50000ec77f2963ea45dbe9b7b37091d6cd77",
+    "gauss-shift": "0adb0be66ef069673a68d6b05a30c6c86c3fac11696ee6b9a2cdae0befcbc98e",
+    "gauss-shift-scale": "b14f61cdc9cceadd3b64e6e988a656f70fb1fbc13811ff1201dfb99a81c72669",
+    "null-equal": "fc1359bc42272eb4677f6c781e334544a6efaba1fa8294f5a8832de46b6df386",
+    "null-uniform": "fc57330433ff0b6d40976acf8b589feccc451095cb2ddcb948afd106b67fd541",
 }
 
 
 class TestBuiltinDigests:
     def test_every_builtin_is_pinned(self):
-        assert sorted(BUILTIN_DIGESTS) == list(builtin_scenarios())
+        assert sorted(BUILTIN_DIGESTS) == sorted(BUILTIN_RANK_DIGESTS) == list(builtin_scenarios())
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_DIGESTS))
     def test_data_digest(self, name):
@@ -205,6 +234,16 @@ class TestBuiltinDigests:
                 for column in generate_scenario(spec, rep):
                     digest.update(np.asarray(column, dtype="<f8").tobytes())
         assert digest.hexdigest() == BUILTIN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_RANK_DIGESTS))
+    def test_rank_digest(self, name):
+        digest = hashlib.sha256()
+        for n in (24, 100, 300):
+            spec = make_scenario(name, n=n, seed=12)
+            for rep in range(50):
+                for column in generate_scenario(spec, rep):
+                    digest.update(np.argsort(column, kind="stable").astype("<i8").tobytes())
+        assert digest.hexdigest() == BUILTIN_RANK_DIGESTS[name]
 
 
 @pytest.fixture(scope="module")
